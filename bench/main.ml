@@ -1316,6 +1316,28 @@ let micro ms =
     let ctx_store = P.Ctx.create_store () in
     P.Solver.make_session ?hooks ~config:solver_config ~ctx_store pag
   in
+  (* The jmp store's lookup alone, on a store holding 4,096 Finished
+     records (half at the empty context, as most keys are): hits probe
+     vars [0, 2048), which hold records; misses probe [2048, 4096). *)
+  let lookup_row name ~first =
+    let warm_ctx = P.Ctx.of_list (P.Ctx.create_store ()) [ 1 ] in
+    let hooks = P.Jmp_store.hooks (P.Jmp_store.create ~tau_f:1 ~tau_u:1 ()) in
+    for v = 0 to 2047 do
+      List.iter
+        (fun ctx ->
+          hooks.P.Hooks.record_finished P.Hooks.Bwd v ctx ~cost:50
+            ~targets:[||])
+        [ P.Ctx.empty; warm_ctx ]
+    done;
+    let i = ref 0 in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           incr i;
+           let v = first + (!i land 2047) in
+           let ctx = if !i land 2048 = 0 then P.Ctx.empty else warm_ctx in
+           ignore
+             (hooks.P.Hooks.lookup P.Hooks.Bwd v ctx ~steps:0 ~worker:0)))
+  in
   let tests =
     [
       (* Table I kernel: one sequential query (Algorithm 1). *)
@@ -1341,7 +1363,10 @@ let micro ms =
               let v = !i land 1023 in
               hooks.P.Hooks.record_finished P.Hooks.Bwd v ctx ~cost:50
                 ~targets:[||];
-              ignore (hooks.P.Hooks.lookup P.Hooks.Bwd v ctx ~steps:0)));
+              ignore
+                (hooks.P.Hooks.lookup P.Hooks.Bwd v ctx ~steps:0 ~worker:0)));
+      lookup_row "jmp_store/lookup_hit" ~first:0;
+      lookup_row "jmp_store/lookup_miss" ~first:2048;
       (* Fig. 8 kernel: query-group scheduling. *)
       Test.make ~name:"fig8/schedule_build"
         (Staged.stage (fun () ->

@@ -13,7 +13,8 @@ let no_jmp = { unfinished = None; finished = None }
 
 type t = {
   lookup :
-    dir -> Parcfl_pag.Pag.var -> Parcfl_pag.Ctx.t -> steps:int -> lookup;
+    dir -> Parcfl_pag.Pag.var -> Parcfl_pag.Ctx.t -> steps:int -> worker:int ->
+    lookup;
   record_finished :
     dir -> Parcfl_pag.Pag.var -> Parcfl_pag.Ctx.t -> cost:int ->
     targets:target array -> unit;

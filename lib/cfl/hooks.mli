@@ -30,11 +30,15 @@ val no_jmp : lookup
 
 type t = {
   lookup :
-    dir -> Parcfl_pag.Pag.var -> Parcfl_pag.Ctx.t -> steps:int -> lookup;
+    dir -> Parcfl_pag.Pag.var -> Parcfl_pag.Ctx.t -> steps:int -> worker:int ->
+    lookup;
       (** [steps] is the number of node traversals the querying thread has
           performed so far — a store may use it as a fine-grained progress
           clock (the simulator's virtual time); the concurrent store ignores
-          it. *)
+          it. [worker] is the querying worker's id; the concurrent store
+          stripes its hit/miss counters by it. The result is returned
+          as-is, so a store may hand out a shared immutable record (or
+          {!no_jmp}) instead of allocating one per call. *)
   record_finished :
     dir -> Parcfl_pag.Pag.var -> Parcfl_pag.Ctx.t -> cost:int ->
     targets:target array -> unit;

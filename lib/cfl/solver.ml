@@ -94,6 +94,7 @@ type scratch = {
   visited : Int_table.Set.t; (* packed var⊕ctx *)
   emit : int Vec.t; (* buffered ReachableNodes emissions (sharing mode) *)
   alias : Pair_set.t; (* per-field alias accumulator *)
+  mutable alias_field : int; (* the field whose bases [alias] keeps *)
 }
 
 type qstate = {
@@ -186,6 +187,7 @@ let scratch q =
         visited = Int_table.Set.create ();
         emit = Vec.create ();
         alias = Pair_set.create ();
+        alias_field = 0;
       }
   done;
   Vec.get q.scratches d
@@ -196,12 +198,17 @@ let trace q kind ~var =
   | None -> ()
   | Some tr -> Tracer.emit tr ~worker:q.worker kind ~var
 
-(* One node traversal = one step (paper Section II-B3). *)
+(* One node traversal = one step (paper Section II-B3). The shared
+   [steps_walked] counter is fed once per query from [walked] (see
+   [charge_walked]), not here: an atomic add per step would cost more than
+   the step itself. *)
 let bump q =
   q.steps <- q.steps + 1;
   q.walked <- q.walked + 1;
-  Counter.incr q.s.stats.Stats.steps_walked ~worker:q.worker;
   if q.steps > q.s.config.Config.budget then raise (Out_of_budget_exn 0)
+
+let charge_walked q =
+  Counter.add q.s.stats.Stats.steps_walked ~worker:q.worker q.walked
 
 (* Context transfer functions. Traversing backwards (PointsTo), a [param_i]
    edge leaves the callee: match-and-pop; a [ret_i] edge enters it: push.
@@ -305,7 +312,7 @@ let with_sharing q dir x c (k : Pag.var -> Ctx.t -> unit)
   match (if q.no_sharing then None else q.s.hooks) with
   | None -> compute k
   | Some h -> (
-      let found = h.Hooks.lookup dir x c ~steps:q.walked in
+      let found = h.Hooks.lookup dir x c ~steps:q.walked ~worker:q.worker in
       (match found.Hooks.unfinished with
       | Some s when q.s.config.Config.budget - q.steps < s ->
           q.early_terminated <- true;
@@ -524,7 +531,8 @@ and reachable_nodes q x c (k : Pag.var -> Ctx.t -> unit) : unit =
   let pag = q.s.pag in
   if Pag.has_load_in pag x then
     with_sharing q Hooks.Bwd x c k (fun emit ->
-        let alias = (scratch q).alias in
+        let sc = scratch q in
+        let alias = sc.alias in
         match q.s.matcher with
         | None ->
             (* No refinement abstraction: every load/store pair is alias-
@@ -543,18 +551,23 @@ and reachable_nodes q x c (k : Pag.var -> Ctx.t -> unit) : unit =
             in
             let on_alias v cv =
               bump q;
-              ignore (Pair_set.add alias v cv)
+              if Pag.is_store_base q.s.pag v sc.alias_field then
+                ignore (Pair_set.add sc.alias v cv)
             in
             let on_obj o c0 =
               bump q;
               Pair_set.iter on_alias (flows_to_set q o (Ctx.unsafe_of_int c0))
             in
             let on_load f p =
-              Pair_set.clear alias;
-              if Pag.has_stores_of_field pag f then
+              Pair_set.clear sc.alias;
+              if Pag.has_stores_of_field pag f then begin
                 (* alias := ∪ FlowsTo(o, c0), indexed by variable for the
-                   store-base matching. *)
-                Pair_set.iter on_obj (points_to_set q p c);
+                   store-base matching. Only store bases of [f] are ever
+                   read back, so only they are kept; every pair is still
+                   charged, and each base keeps its insertion order. *)
+                sc.alias_field <- f;
+                Pair_set.iter on_obj (points_to_set q p c)
+              end;
               Pag.iter_stores_of_field pag f on_store
             in
             Pag.iter_load_in pag x on_load
@@ -614,7 +627,8 @@ and reachable_nodes_annotated q x c :
             Pair_set.iter
               (fun v cv ->
                 bump q;
-                ignore (Pair_set.add alias v cv))
+                if Pag.is_store_base pag v f then
+                  ignore (Pair_set.add alias v cv))
               (flows_to_set q o (Ctx.unsafe_of_int c0)))
           pts_p;
         Array.iter
@@ -634,7 +648,8 @@ and reachable_nodes_inv q y c (k : Pag.var -> Ctx.t -> unit) : unit =
   let pag = q.s.pag in
   if Pag.has_store_out pag y then
     with_sharing q Hooks.Fwd y c k (fun emit ->
-        let alias = (scratch q).alias in
+        let sc = scratch q in
+        let alias = sc.alias in
         match q.s.matcher with
         | None ->
             let cur_x = ref 0 in
@@ -645,16 +660,19 @@ and reachable_nodes_inv q y c (k : Pag.var -> Ctx.t -> unit) : unit =
             in
             let on_alias v cv =
               bump q;
-              ignore (Pair_set.add alias v cv)
+              if Pag.is_load_base q.s.pag v sc.alias_field then
+                ignore (Pair_set.add sc.alias v cv)
             in
             let on_obj o c0 =
               bump q;
               Pair_set.iter on_alias (flows_to_set q o (Ctx.unsafe_of_int c0))
             in
             let on_store f qv =
-              Pair_set.clear alias;
-              if Pag.has_loads_of_field pag f then
-                Pair_set.iter on_obj (points_to_set q qv c);
+              Pair_set.clear sc.alias;
+              if Pag.has_loads_of_field pag f then begin
+                sc.alias_field <- f;
+                Pair_set.iter on_obj (points_to_set q qv c)
+              end;
               Pag.iter_loads_of_field pag f on_load
             in
             Pag.iter_store_out pag y on_store
@@ -722,6 +740,7 @@ let run_query_with q var start =
   in
   match attempt () with
   | set ->
+      charge_walked q;
       Counter.incr s.stats.Stats.queries_answered ~worker:q.worker;
       trace q Tracer.Query_end ~var;
       (* Materialize the result in one pass (the accumulator is reused by
@@ -732,6 +751,7 @@ let run_query_with q var start =
         set;
       Query.Points_to (List.rev !pairs)
   | exception Out_of_budget_exn bdg ->
+      charge_walked q;
       record_unfinished q bdg;
       Vec.clear q.fr_dir;
       Vec.clear q.fr_key;
@@ -918,8 +938,12 @@ let traced_run s worker l =
     go ()
   in
   match run () with
-  | exception Out_of_budget_exn _ -> None
-  | _ -> Some tr
+  | exception Out_of_budget_exn _ ->
+      charge_walked q;
+      None
+  | _ ->
+      charge_walked q;
+      Some tr
 
 (* Walk the trace's parent chain from [o]'s allocation holder back to the
    query variable. *)

@@ -30,7 +30,12 @@ struct
       mask = n - 1;
     }
 
-  let shard t k = t.shards.((Key.hash k land max_int) land t.mask)
+  (* Each shard's [Hashtbl] buckets by the low bits of [Key.hash], so the
+     shard index must come from other bits: keys picked by their low bits
+     would all share those bits inside a shard and leave all but
+     1/[shards] of its buckets empty. Re-mix and take the top bits. *)
+  let shard t k =
+    t.shards.(((Key.hash k * 0x9E3779B97F4A7C1) lsr 40) land t.mask)
 
   let with_lock s f =
     Mutex.lock s.lock;

@@ -6,11 +6,16 @@ type entry = {
   depth : int;
 }
 
+(* An interned entry's key is site ⊕ parent packed into one int: no tuple
+   to box per [push], and [equal] compiles to an int compare rather than
+   the polymorphic structural one. *)
 module Key = struct
-  type t = int * int (* site, parent *)
+  type t = int
 
-  let equal (s1, p1) (s2, p2) = s1 = s2 && p1 = p2
-  let hash (s, p) = (s * 0x9e3779b1) lxor (p * 0x85ebca77) land max_int
+  let equal (a : t) b = a = b
+  let hash (k : t) =
+    let h = k * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 39)
 end
 
 module Tbl = Parcfl_conc.Sharded_map.Make (Key)
@@ -78,7 +83,7 @@ let write_entry store id e =
   arr.(off) <- e
 
 let push store c i =
-  let key = (i, c) in
+  let key = Parcfl_prim.Pack.pack i c in
   match Tbl.find_opt store.ids key with
   | Some id -> id
   | None ->

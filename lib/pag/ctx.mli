@@ -24,7 +24,9 @@ val empty : t
 val is_empty : t -> bool
 
 val push : store -> t -> int -> t
-(** [push store c i] is the context [c] with call site [i] on top. *)
+(** [push store c i] is the context [c] with call site [i] on top.
+    @raise Invalid_argument unless [0 <= i < Pack.hi_limit] (call-site ids
+    are checked against the same bound when the PAG is built). *)
 
 val top : store -> t -> int option
 

@@ -58,6 +58,8 @@ type t = {
   store_out : csr; (* var -> field ⊕ base *)
   stores_of_field : csr; (* field -> base ⊕ src *)
   loads_of_field : csr; (* field -> dst ⊕ base *)
+  store_base_fields : csr; (* var -> fields it is a store base of, sorted *)
+  load_base_fields : csr; (* var -> fields it is a load base of, sorted *)
   ci_sites : Bitset.t;
   app_locals : var array;
 }
@@ -236,6 +238,32 @@ module Build = struct
       csr_of n_fields (fun f ->
           Vec.iter (fun (q, fd, y) -> f fd (Pack.unsafe_pack q y)) b.b_store)
     in
+    (* The alias test's base filter: each variable's row lists, sorted and
+       deduplicated, the fields it is a store (load) base of. *)
+    let sorted_unique_rows c =
+      let len = ref 0 in
+      let off = Array.make (Array.length c.off) 0 in
+      for v = 0 to Array.length c.off - 2 do
+        let row = Array.sub c.dat c.off.(v) (c.off.(v + 1) - c.off.(v)) in
+        Array.sort Int.compare row;
+        Array.iteri
+          (fun i f ->
+            if i = 0 || row.(i - 1) <> f then begin
+              c.dat.(!len) <- f;
+              incr len
+            end)
+          row;
+        off.(v + 1) <- !len
+      done;
+      { off; dat = Array.sub c.dat 0 !len }
+    in
+    let store_base_fields =
+      sorted_unique_rows
+        (csr_of nv (fun f -> Vec.iter (fun (q, fd, _) -> f q fd) b.b_store))
+    and load_base_fields =
+      sorted_unique_rows
+        (csr_of nv (fun f -> Vec.iter (fun (_, p, fd) -> f p fd) b.b_load))
+    in
     let app_locals =
       let acc = Vec.create () in
       Vec.iteri
@@ -262,6 +290,8 @@ module Build = struct
       store_out;
       stores_of_field;
       loads_of_field;
+      store_base_fields;
+      load_base_fields;
       ci_sites = b.b_ci;
       app_locals;
     }
@@ -327,6 +357,20 @@ let has_stores_of_field t f =
 
 let has_loads_of_field t f =
   f >= 0 && f < t.n_fields && row_len t.loads_of_field f > 0
+
+(* Binary search of a sorted row: the alias test asks this once per
+   FlowsTo pair, and a base's row is its distinct fields, usually a few. *)
+let[@inline] sorted_row_mem c v x =
+  let stop = c.off.(v + 1) in
+  let lo = ref c.off.(v) and hi = ref stop in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get c.dat mid < x then lo := mid + 1 else hi := mid
+  done;
+  !lo < stop && Array.unsafe_get c.dat !lo = x
+
+let is_store_base t v fd = sorted_row_mem t.store_base_fields v fd
+let is_load_base t v fd = sorted_row_mem t.load_base_fields v fd
 
 (* Field-indexed rows carry the user-facing bounds contract: a negative
    field id is a caller bug; an id at or past [n_fields] is a legal field

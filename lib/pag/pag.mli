@@ -142,6 +142,16 @@ val has_store_out : t -> var -> bool
 val has_stores_of_field : t -> field -> bool
 val has_loads_of_field : t -> field -> bool
 
+val is_store_base : t -> var -> field -> bool
+(** [is_store_base t q fd] iff some store [q.fd = _] exists. Answered from a
+    per-variable sorted row of fields built once by {!Build.freeze} (one int
+    per distinct (base, field) pair), so the solver's alias test can keep
+    only the variables a store-base match will read. *)
+
+val is_load_base : t -> var -> field -> bool
+(** [is_load_base t p fd] iff some load [_ = p.fd] exists; the dual index
+    for the FlowsTo direction. *)
+
 (** {1 Adjacency snapshots (allocating)}
 
     Materialized copies of the same rows, for cold callers (serialization,

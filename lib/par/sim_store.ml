@@ -45,7 +45,7 @@ type overlay = {
 let begin_query t ~start =
   let ov = { o_fin = Hashtbl.create 16; o_unf = Hashtbl.create 16 } in
   let cost = ref 0 in
-  let lookup dir var ctx ~steps =
+  let lookup dir var ctx ~steps ~worker:_ =
     cost := !cost + lookup_cost;
     (* Fine-grained virtual time: the thread has walked [steps] nodes since
        the query started, so records published meanwhile are visible. *)

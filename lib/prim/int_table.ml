@@ -14,10 +14,13 @@ type 'a t = {
 
 (* Packed keys concentrate their entropy in the high bits (the low 39 bits
    are a context id, almost always 0), so the key must be mixed before
-   masking or everything lands in slot 0. Fibonacci multiply + xor-shift. *)
+   masking or everything lands in slot 0. A multiply only carries entropy
+   upwards — [var lsl 39] times any odd constant still has 39 zero low
+   bits — so the xor-shift must fold bits from 39 up back onto the slot
+   bits. Fibonacci multiply + xor-shift. *)
 let[@inline] hash k =
   let h = k * 0x9E3779B97F4A7C1 in
-  h lxor (h lsr 29)
+  h lxor (h lsr 39)
 
 (* The floor of 8 keeps a fresh table at three one-line arrays: the solver
    pools thousands of small tables (memo accumulators), so their empty

@@ -1,110 +1,118 @@
 module Hooks = Parcfl_cfl.Hooks
 module Ctx = Parcfl_pag.Ctx
+module Pack = Parcfl_prim.Pack
+module Int_table = Parcfl_prim.Int_table
+module Counter = Parcfl_conc.Counter
 
-module Key = struct
-  (* (direction ⊕ variable, context): the direction bit is folded into the
-     variable component so the key stays two machine ints. *)
-  type t = int * int
-
-  let make dir var ctx =
-    let d = match dir with Hooks.Bwd -> 0 | Hooks.Fwd -> 1 in
-    ((var lsl 1) lor d, Ctx.to_int ctx)
-
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash (a, b) = (a * 0x9e3779b1) lxor (b * 0x61C88647) land max_int
-end
-
-module Tbl = Parcfl_conc.Sharded_map.Make (Key)
-
-type record_ = {
-  mutable fin : Hooks.finished option;
-  mutable unf : int option;
+(* One shard: an int-keyed open-addressed table under its own mutex. Keys
+   are [Pack.unsafe_pack var ctx]; values are immutable [Hooks.lookup]
+   records, replaced (never mutated) when the second record kind arrives,
+   so a lookup hands the stored record straight to the solver. *)
+type shard = {
+  lock : Mutex.t;
+  tbl : Hooks.lookup Int_table.t;
 }
 
 type t = {
-  tbl : record_ Tbl.t;
+  bwd : shard array;
+  fwd : shard array;
+  mask : int;
   tau_f : int;
   tau_u : int;
   bwd_only : bool;
   n_fin : int Atomic.t;
   n_unf : int Atomic.t;
-  n_hit : int Atomic.t;
-  n_miss : int Atomic.t;
+  n_hit : Counter.t;
+  n_miss : Counter.t;
 }
+
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
 let create ?(shards = 64) ?(tau_f = 100) ?(tau_u = 10_000)
     ?(directions = `Both) () =
+  let n = pow2_at_least (max 1 shards) 1 in
+  let mk () =
+    Array.init n (fun _ ->
+        { lock = Mutex.create (); tbl = Int_table.create () })
+  in
   {
-    tbl = Tbl.create ~shards ();
+    bwd = mk ();
+    fwd = mk ();
+    mask = n - 1;
     tau_f;
     tau_u;
     bwd_only = (directions = `Bwd_only);
     n_fin = Atomic.make 0;
     n_unf = Atomic.make 0;
-    n_hit = Atomic.make 0;
-    n_miss = Atomic.make 0;
+    n_hit = Counter.create ();
+    n_miss = Counter.create ();
   }
 
-let skip t dir = t.bwd_only && dir = Hooks.Fwd
+let skip t dir = match dir with Hooks.Fwd -> t.bwd_only | Hooks.Bwd -> false
 
-(* The [fin]/[unf] fields are mutated by record_finished/record_unfinished
-   under the shard lock, so they must also be *read* under it: copying them
-   out inside [find_map] is what makes a concurrent lookup see either the
-   value before or after a racing record, never a mix. (Reading after
-   [find_opt] returned — the previous code — raced with the writers.) *)
-let lookup t dir var ctx ~steps =
-  ignore steps;
+let[@inline] key var ctx = Pack.unsafe_pack var (Ctx.to_int ctx)
+
+(* The shard index takes the top bits of a multiplicative hash; the
+   table's own probe position mixes differently, so one shard's keys still
+   spread over its slots. *)
+let[@inline] shard_of t dir k =
+  let shards = match dir with Hooks.Bwd -> t.bwd | Hooks.Fwd -> t.fwd in
+  Array.unsafe_get shards (((k * 0x9E3779B97F4A7C1) lsr 50) land t.mask)
+
+let lookup t dir var ctx ~steps:_ ~worker =
   if skip t dir then Hooks.no_jmp
-  else
-    match
-      Tbl.find_map t.tbl (Key.make dir var ctx) (fun r ->
-          { Hooks.unfinished = r.unf; finished = r.fin })
-    with
-    | None ->
-        ignore (Atomic.fetch_and_add t.n_miss 1);
-        Hooks.no_jmp
-    | Some l ->
-        ignore (Atomic.fetch_and_add t.n_hit 1);
-        l
-
-(* The two record kinds share a key; updates go through the shard lock so a
-   concurrent reader (which also holds the lock via find_opt) never sees a
-   half-written record. First write of each kind wins. *)
-let record_finished t dir var ctx ~cost ~targets =
-  if cost >= t.tau_f && not (skip t dir) then begin
-    let added = ref false in
-    Tbl.update t.tbl (Key.make dir var ctx) (function
-      | None ->
-          added := true;
-          Some { fin = Some { Hooks.cost; targets }; unf = None }
-      | Some r ->
-          if r.fin = None then begin
-            added := true;
-            r.fin <- Some { Hooks.cost; targets }
-          end;
-          Some r);
-    if !added then ignore (Atomic.fetch_and_add t.n_fin 1)
+  else begin
+    let k = key var ctx in
+    let sh = shard_of t dir k in
+    Mutex.lock sh.lock;
+    let r = Int_table.get sh.tbl k ~default:Hooks.no_jmp in
+    Mutex.unlock sh.lock;
+    Counter.incr (if r == Hooks.no_jmp then t.n_miss else t.n_hit) ~worker;
+    r
   end
+
+(* Read-modify-write of one key under its shard lock. [merge] returns the
+   replacement record, or [None] when the kind it adds is already present:
+   first write of each kind wins. Returns whether a record was added. *)
+let update t dir var ctx merge =
+  let k = key var ctx in
+  let sh = shard_of t dir k in
+  Mutex.lock sh.lock;
+  let added =
+    match merge (Int_table.get sh.tbl k ~default:Hooks.no_jmp) with
+    | Some r ->
+        Int_table.set sh.tbl k r;
+        true
+    | None -> false
+  in
+  Mutex.unlock sh.lock;
+  added
+
+let add_finished t dir var ctx fin =
+  if
+    update t dir var ctx (fun r ->
+        match r.Hooks.finished with
+        | Some _ -> None
+        | None -> Some { r with Hooks.finished = Some fin })
+  then Atomic.incr t.n_fin
+
+let record_finished t dir var ctx ~cost ~targets =
+  if cost >= t.tau_f && not (skip t dir) then
+    add_finished t dir var ctx { Hooks.cost; targets }
 
 let record_unfinished t dir var ctx ~s =
-  if s >= t.tau_u && not (skip t dir) then begin
-    let added = ref false in
-    Tbl.update t.tbl (Key.make dir var ctx) (function
-      | None ->
-          added := true;
-          Some { fin = None; unf = Some s }
-      | Some r ->
-          if r.unf = None then begin
-            added := true;
-            r.unf <- Some s
-          end;
-          Some r);
-    if !added then ignore (Atomic.fetch_and_add t.n_unf 1)
-  end
+  if s >= t.tau_u && not (skip t dir) then
+    if
+      update t dir var ctx (fun r ->
+          match r.Hooks.unfinished with
+          | Some _ -> None
+          | None -> Some { r with Hooks.unfinished = Some s })
+    then Atomic.incr t.n_unf
 
 let hooks t =
   {
-    Hooks.lookup = (fun dir var ctx ~steps -> lookup t dir var ctx ~steps);
+    Hooks.lookup =
+      (fun dir var ctx ~steps ~worker -> lookup t dir var ctx ~steps ~worker);
     record_finished =
       (fun dir var ctx ~cost ~targets ->
         record_finished t dir var ctx ~cost ~targets);
@@ -114,38 +122,58 @@ let hooks t =
 
 let n_finished t = Atomic.get t.n_fin
 let n_unfinished t = Atomic.get t.n_unf
-let n_hits t = Atomic.get t.n_hit
-let n_misses t = Atomic.get t.n_miss
+let n_hits t = Counter.value t.n_hit
+let n_misses t = Counter.value t.n_miss
 let n_jumps t = n_finished t + n_unfinished t
 let tau_f t = t.tau_f
 let tau_u t = t.tau_u
 
+(* Every record with its direction bit (0 = Bwd, 1 = Fwd) and packed key,
+   one shard lock at a time. *)
+let iter_records t f =
+  let each d shards =
+    Array.iter
+      (fun sh ->
+        Mutex.lock sh.lock;
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock sh.lock)
+          (fun () -> Int_table.iter (fun k r -> f d k r) sh.tbl))
+      shards
+  in
+  each 0 t.bwd;
+  each 1 t.fwd
+
 let histogram t ~buckets =
   let bucket_of = Parcfl_stats.Histogram.bucket ~buckets in
   let fin = Array.make buckets 0 and unf = Array.make buckets 0 in
-  let _ =
-    Tbl.fold
-      (fun _key r () ->
-        (match r.fin with
-        | Some { Hooks.cost; _ } ->
-            let b = bucket_of cost in
-            fin.(b) <- fin.(b) + 1
-        | None -> ());
-        match r.unf with
-        | Some s ->
-            let b = bucket_of s in
-            unf.(b) <- unf.(b) + 1
-        | None -> ())
-      t.tbl ()
-  in
+  iter_records t (fun _ _ r ->
+      (match r.Hooks.finished with
+      | Some { Hooks.cost; _ } ->
+          let b = bucket_of cost in
+          fin.(b) <- fin.(b) + 1
+      | None -> ());
+      match r.Hooks.unfinished with
+      | Some s ->
+          let b = bucket_of s in
+          unf.(b) <- unf.(b) + 1
+      | None -> ());
   (fin, unf)
 
 let clear t =
-  Tbl.clear t.tbl;
+  let each shards =
+    Array.iter
+      (fun sh ->
+        Mutex.lock sh.lock;
+        Int_table.clear sh.tbl;
+        Mutex.unlock sh.lock)
+      shards
+  in
+  each t.bwd;
+  each t.fwd;
   Atomic.set t.n_fin 0;
   Atomic.set t.n_unf 0;
-  Atomic.set t.n_hit 0;
-  Atomic.set t.n_miss 0
+  Counter.reset t.n_hit;
+  Counter.reset t.n_miss
 
 (* ---------------------- snapshot export / import ---------------------- *)
 
@@ -181,8 +209,8 @@ let ctx_of_token store tok =
       | [] -> Ok (Ctx.of_list store (List.rev acc))
       | p :: rest -> (
           match int_of_string_opt p with
-          | Some s -> go (s :: acc) rest
-          | None -> Error (Printf.sprintf "malformed context site %S" p))
+          | Some s when s >= 0 && s < Pack.hi_limit -> go (s :: acc) rest
+          | _ -> Error (Printf.sprintf "malformed context site %S" p))
     in
     go [] (String.split_on_char ',' tok)
 
@@ -190,45 +218,27 @@ let export_finished t ~generation ~ctx_store =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "%s %d gen=%d\n" snap_magic snap_version generation);
-  let (_ : int) =
-    Tbl.fold
-      (fun (dv, c) r count ->
-        match r.fin with
-        | None -> count
-        | Some { Hooks.cost; targets } ->
-            Buffer.add_string buf
-              (Printf.sprintf "fin %d %d %s %d" (dv land 1) (dv lsr 1)
-                 (ctx_to_token ctx_store (Ctx.unsafe_of_int c))
-                 cost);
-            Array.iter
-              (fun (tv, tc) ->
-                Buffer.add_string buf
-                  (Printf.sprintf " %d@%s" tv (ctx_to_token ctx_store tc)))
-              targets;
-            Buffer.add_char buf '\n';
-            count + 1)
-      t.tbl 0
-  in
+  iter_records t (fun d k r ->
+      match r.Hooks.finished with
+      | None -> ()
+      | Some { Hooks.cost; targets } ->
+          Buffer.add_string buf
+            (Printf.sprintf "fin %d %d %s %d" d (Pack.hi k)
+               (ctx_to_token ctx_store (Ctx.unsafe_of_int (Pack.lo k)))
+               cost);
+          Array.iter
+            (fun (tv, tc) ->
+              Buffer.add_string buf
+                (Printf.sprintf " %d@%s" tv (ctx_to_token ctx_store tc)))
+            targets;
+          Buffer.add_char buf '\n');
   Buffer.contents buf
 
 (* Install without the tau_f admission filter: the exporter already applied
    its threshold, and a snapshot fact is worth keeping even if our own
    threshold is stricter. First write still wins against local records. *)
 let install_finished t dir var ctx ~cost ~targets =
-  if not (skip t dir) then begin
-    let added = ref false in
-    Tbl.update t.tbl (Key.make dir var ctx) (function
-      | None ->
-          added := true;
-          Some { fin = Some { Hooks.cost; targets }; unf = None }
-      | Some r ->
-          if r.fin = None then begin
-            added := true;
-            r.fin <- Some { Hooks.cost; targets }
-          end;
-          Some r);
-    if !added then ignore (Atomic.fetch_and_add t.n_fin 1)
-  end
+  if not (skip t dir) then add_finished t dir var ctx { Hooks.cost; targets }
 
 let import_finished t ~generation ~ctx_store text =
   let ( let* ) = Result.bind in
@@ -291,7 +301,8 @@ let import_finished t ~generation ~ctx_store text =
                 (int_of_string_opt d, int_of_string_opt var,
                  int_of_string_opt cost)
               with
-              | Some d, Some var, Some cost when d = 0 || d = 1 ->
+              | Some d, Some var, Some cost
+                when (d = 0 || d = 1) && var >= 0 && var < Pack.hi_limit ->
                   let dir = if d = 0 then Hooks.Bwd else Hooks.Fwd in
                   let* ctx = ctx_of_token ctx_store ctx in
                   let* targets = targets_of [] targets in

@@ -16,7 +16,25 @@
     when [cost >= tau_f] and an Unfinished record when [s >= tau_u]
     (defaults 100 and 10,000 — the paper's values for budget 75,000); this
     avoids flooding the map with shortcuts too cheap to pay for their own
-    synchronisation. *)
+    synchronisation.
+
+    {b Layout.} One table per direction, each split into [shards] shards;
+    a shard is an open-addressed int table ({!Parcfl_prim.Int_table})
+    under its own mutex, keyed by the single int
+    [Pack.unsafe_pack var ctx]. The value is an immutable
+    {!Parcfl_cfl.Hooks.lookup} record holding both kinds. A write builds a
+    new record (the old one plus the new kind) and replaces the binding
+    under the shard lock; it never mutates a published record. A lookup
+    therefore returns the stored record itself — or the shared
+    {!Parcfl_cfl.Hooks.no_jmp} on a miss — and allocates nothing: no key
+    tuple, no option, no copied result.
+
+    {b Counters.} Hits and misses are counted on striped {!Parcfl_conc.Counter}s
+    indexed by the [~worker] the solver passes to [lookup], each stripe on
+    its own cache line, so parallel workers never write the same line. The
+    sums are exact once the workers are quiescent and a monotone lower
+    bound while they run. Record counts ({!n_finished}, {!n_unfinished})
+    change only on a successful write and stay plain atomics. *)
 
 type t
 
@@ -44,9 +62,9 @@ val n_jumps : t -> int
 (** Table I's #Jumps: all jmp records added. *)
 
 val n_hits : t -> int
-(** Lookups that found a record (Finished or Unfinished). Lookups skipped
-    because the store is restricted to [`Bwd_only] are not counted either
-    way. *)
+(** Lookups that found a record (Finished or Unfinished), summed over the
+    worker stripes. Lookups skipped because the store is restricted to
+    [`Bwd_only] are not counted either way. *)
 
 val n_misses : t -> int
 (** Lookups that found no record for the key. *)
@@ -81,4 +99,5 @@ val import_finished :
     records installed (existing records win ties). A snapshot whose
     generation differs from [generation] is rejected before any record is
     touched — a record is only valid for the exact PAG it was derived
-    from. A malformed line also fails the import. *)
+    from. A malformed line (including a variable id outside the packing
+    range) also fails the import. *)

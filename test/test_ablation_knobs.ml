@@ -28,7 +28,7 @@ let test_bwd_only_store () =
   h.Hooks.record_finished Hooks.Bwd 1 Ctx.empty ~cost:10 ~targets:[||];
   Alcotest.(check int) "Bwd record kept" 1 (Jmp_store.n_finished store);
   Alcotest.(check bool) "Fwd lookup blank" true
-    ((h.Hooks.lookup Hooks.Fwd 1 Ctx.empty ~steps:0).Hooks.finished = None)
+    ((h.Hooks.lookup Hooks.Fwd 1 Ctx.empty ~steps:0 ~worker:0).Hooks.finished = None)
 
 let test_bwd_only_run_sound () =
   let b = Lazy.force bench in

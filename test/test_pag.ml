@@ -230,6 +230,67 @@ let prop_csr_parity =
       done;
       !ok)
 
+(* The alias test's base index ([is_store_base]/[is_load_base]) against a
+   brute-force scan of the field-indexed rows: for every variable and every
+   field id (plus one past [n_fields]), membership must match exactly. *)
+let base_index_agrees pag =
+  let stores = Hashtbl.create 64 and loads = Hashtbl.create 64 in
+  for f = 0 to Pag.n_fields pag - 1 do
+    Array.iter (fun (q, _) -> Hashtbl.replace stores (q, f) ())
+      (Pag.stores_of_field pag f);
+    Array.iter (fun (_, p) -> Hashtbl.replace loads (p, f) ())
+      (Pag.loads_of_field pag f)
+  done;
+  let ok = ref true in
+  for v = 0 to Pag.n_vars pag - 1 do
+    for f = 0 to Pag.n_fields pag do
+      if Pag.is_store_base pag v f <> Hashtbl.mem stores (v, f) then ok := false;
+      if Pag.is_load_base pag v f <> Hashtbl.mem loads (v, f) then ok := false
+    done
+  done;
+  !ok
+
+let test_base_index_small () =
+  let pag, (x, y, p, q, _, _, _, _) = small () in
+  Alcotest.(check bool) "q stores f3" true (Pag.is_store_base pag q 3);
+  Alcotest.(check bool) "p loads f3" true (Pag.is_load_base pag p 3);
+  Alcotest.(check bool) "p stores nothing" false (Pag.is_store_base pag p 3);
+  Alcotest.(check bool) "q loads nothing" false (Pag.is_load_base pag q 3);
+  Alcotest.(check bool) "other field" false (Pag.is_store_base pag q 2);
+  Alcotest.(check bool) "non-base" false
+    (Pag.is_store_base pag x 3 || Pag.is_load_base pag y 3);
+  Alcotest.(check bool) "agrees with scan" true (base_index_agrees pag)
+
+let test_base_index_profiles () =
+  List.iter
+    (fun prof ->
+      let b = Parcfl.Suite.build prof in
+      Alcotest.(check bool)
+        (prof.Parcfl.Profile.name ^ " base index = scan")
+        true
+        (base_index_agrees b.Parcfl.Suite.pag))
+    Parcfl.Profile.all
+
+(* Random PAGs with repeated (base, field) pairs and a few fields. *)
+let prop_base_index =
+  let gen =
+    QCheck.make
+      ~print:(fun ops -> string_of_int (List.length ops))
+      QCheck.Gen.(
+        list_size (int_bound 60)
+          (tup4 bool (int_bound 9) (int_bound 9) (int_bound 5)))
+  in
+  QCheck.Test.make ~name:"base index matches field-row scan" ~count:200 gen
+    (fun ops ->
+      let b = B.create () in
+      let vars = Array.init 10 (fun i -> B.add_var b (Printf.sprintf "v%d" i)) in
+      List.iter
+        (fun (is_store, a, c, f) ->
+          if is_store then B.store b ~base:vars.(a) f ~src:vars.(c)
+          else B.load b ~dst:vars.(c) ~base:vars.(a) f)
+        ops;
+      base_index_agrees (B.freeze b))
+
 let test_builder_validation () =
   let b = B.create () in
   let x = B.add_var b "x" in
@@ -262,6 +323,10 @@ let suite =
       Alcotest.test_case "iterator adjacency" `Quick test_iter_adjacency;
       Alcotest.test_case "field id bounds" `Quick test_field_bounds;
       QCheck_alcotest.to_alcotest prop_csr_parity;
+      Alcotest.test_case "base index (small)" `Quick test_base_index_small;
+      Alcotest.test_case "base index on all profiles" `Quick
+        test_base_index_profiles;
+      QCheck_alcotest.to_alcotest prop_base_index;
       Alcotest.test_case "iter_edges" `Quick test_iter_edges;
       Alcotest.test_case "direct neighbors" `Quick test_direct_neighbors;
       Alcotest.test_case "builder validation" `Quick test_builder_validation;

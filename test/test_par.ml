@@ -180,6 +180,87 @@ let test_latency_recorded () =
         Alcotest.fail "virtual latency below one step")
     rs.Report.r_queries
 
+(* Steps walked reach the shared counter once per query, at its end, on
+   both the answered and the out-of-budget exit: the run's total must equal
+   the per-query sum exactly, in every mode, CI and CS, with early
+   terminations and budget exhaustion in the mix. *)
+let test_steps_walked_sum () =
+  let b = Option.get (Parcfl.Suite.build_by_name "h2") in
+  let budget = Parcfl.Profile.default_budget in
+  List.iter
+    (fun (label, cs) ->
+      let solver_config =
+        { (Config.with_budget budget Config.default) with
+          Config.context_sensitive = cs }
+      in
+      List.iter
+        (fun (mode, threads) ->
+          let r =
+            Runner.run ~tau_f:Parcfl.Profile.default_tau_f
+              ~tau_u:Parcfl.Profile.default_tau_u
+              ~type_level:b.Parcfl.Suite.type_level ~solver_config ~mode
+              ~threads ~queries:b.Parcfl.Suite.queries b.Parcfl.Suite.pag
+          in
+          let name = Printf.sprintf "%s %s" label (Mode.to_string mode) in
+          let sum =
+            Array.fold_left
+              (fun acc q -> acc + q.Report.qs_steps_walked)
+              0 r.Report.r_queries
+          in
+          Alcotest.(check int) (name ^ " walked = sum") sum
+            r.Report.r_stats.Parcfl.Stats.s_steps_walked;
+          Alcotest.(check bool) (name ^ " has out-of-budget queries") true
+            (Report.n_completed r < Array.length r.Report.r_queries);
+          if cs && Mode.uses_sharing mode then
+            Alcotest.(check bool) (name ^ " has early terminations") true
+              (Report.n_early_terminations r > 0))
+        [ (Mode.Seq, 1); (Mode.Share, 2); (Mode.Share_sched, 2) ])
+    [ ("CS", true); ("CI", false) ]
+
+(* [Solver.explain] runs its own traced solve outside any query; its steps
+   still reach the session's counter, answered or out of budget. *)
+let test_explain_charges_steps () =
+  let b = Lazy.force bench in
+  let pag = b.Parcfl.Suite.pag in
+  let v = b.Parcfl.Suite.queries.(0) in
+  let walked config =
+    let s =
+      Parcfl.Solver.make_session ~config
+        ~ctx_store:(Parcfl.Ctx.create_store ()) pag
+    in
+    ignore (Parcfl.Solver.explain s v 0);
+    (Parcfl.Stats.snapshot (Parcfl.Solver.stats s)).Parcfl.Stats.s_steps_walked
+  in
+  Alcotest.(check bool) "answered explain counted" true (walked config > 0);
+  Alcotest.(check int) "out-of-budget explain counted" 2
+    (walked (Config.with_budget 1 Config.default))
+
+(* Golden 1-thread DQ counters (completed, walked, finished+unfinished
+   jumps, ETs) at the command line's defaults. A change that alters the
+   steps the solver walks or the jmp records it keeps shows up here. *)
+let test_dq_golden_counters () =
+  List.iter
+    (fun (name, want) ->
+      let b = Option.get (Parcfl.Suite.build_by_name name) in
+      let r =
+        Runner.run ~tau_f:Parcfl.Profile.default_tau_f
+          ~tau_u:Parcfl.Profile.default_tau_u
+          ~type_level:b.Parcfl.Suite.type_level
+          ~solver_config:
+            (Config.with_budget Parcfl.Profile.default_budget Config.default)
+          ~mode:Mode.Share_sched ~threads:1 ~queries:b.Parcfl.Suite.queries
+          b.Parcfl.Suite.pag
+      in
+      Alcotest.(check (list int)) (name ^ " DQ counters") want
+        [
+          Report.n_completed r;
+          Report.total_walked r;
+          r.Report.r_n_jumps_finished;
+          r.Report.r_n_jumps_unfinished;
+          Report.n_early_terminations r;
+        ])
+    [ ("_200_check", [ 154; 1170; 1; 0; 0 ]); ("h2", [ 889; 180539; 481; 346; 797 ]) ]
+
 let suite =
   ( "par",
     [
@@ -200,4 +281,9 @@ let suite =
       Alcotest.test_case "poisoned query raises" `Quick
         test_poisoned_query_raises;
       Alcotest.test_case "latency recorded" `Quick test_latency_recorded;
+      Alcotest.test_case "steps walked = per-query sum" `Quick
+        test_steps_walked_sum;
+      Alcotest.test_case "explain charges its steps" `Quick
+        test_explain_charges_steps;
+      Alcotest.test_case "DQ golden counters" `Quick test_dq_golden_counters;
     ] )

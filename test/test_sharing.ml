@@ -22,16 +22,16 @@ let test_store_basics () =
   h.Hooks.record_finished Hooks.Bwd 5 c ~cost:10 ~targets:[| (1, c) |];
   h.Hooks.record_finished Hooks.Bwd 5 c ~cost:99 ~targets:[||];
   Alcotest.(check int) "first finished wins" 1 (Jmp_store.n_finished st);
-  (match (h.Hooks.lookup Hooks.Bwd 5 c ~steps:0).Hooks.finished with
+  (match (h.Hooks.lookup Hooks.Bwd 5 c ~steps:0 ~worker:0).Hooks.finished with
   | Some { Hooks.cost = 10; _ } -> ()
   | _ -> Alcotest.fail "expected the first record");
   (* Directions and contexts are distinct keys. *)
   Alcotest.(check bool) "other direction empty" true
-    ((h.Hooks.lookup Hooks.Fwd 5 c ~steps:0).Hooks.finished = None);
+    ((h.Hooks.lookup Hooks.Fwd 5 c ~steps:0 ~worker:0).Hooks.finished = None);
   h.Hooks.record_unfinished Hooks.Bwd 5 c ~s:42;
   h.Hooks.record_unfinished Hooks.Bwd 5 c ~s:100;
   Alcotest.(check int) "first unfinished wins" 1 (Jmp_store.n_unfinished st);
-  (match (h.Hooks.lookup Hooks.Bwd 5 c ~steps:0).Hooks.unfinished with
+  (match (h.Hooks.lookup Hooks.Bwd 5 c ~steps:0 ~worker:0).Hooks.unfinished with
   | Some 42 -> ()
   | _ -> Alcotest.fail "expected s=42");
   Jmp_store.clear st;
@@ -245,7 +245,7 @@ let test_store_multicore_stress () =
   let reader () =
     for _ = 0 to rounds - 1 do
       for v = 0 to n_keys - 1 do
-        let jmp = h.Hooks.lookup Hooks.Bwd v c ~steps:0 in
+        let jmp = h.Hooks.lookup Hooks.Bwd v c ~steps:0 ~worker:0 in
         (match jmp.Hooks.finished with
         | Some { Hooks.cost; targets } ->
             if
@@ -269,6 +269,99 @@ let test_store_multicore_stress () =
   Alcotest.(check int) "one finished per key" n_keys (Jmp_store.n_finished st);
   Alcotest.(check int) "one unfinished per key" n_keys
     (Jmp_store.n_unfinished st)
+
+(* Two domains race both record kinds, in both directions, on the same
+   (var, ctx) keys — each writes its own values and looks every key up
+   right after. First write of each kind must win for good (every later
+   observation of a key's kind equals its final value), every lookup must
+   see a whole record (cost and targets from the same writer), the striped
+   hit/miss counters must add up to the lookups issued, and the raced
+   store must survive an export→import round trip unchanged. *)
+let test_store_two_domain_race () =
+  let st = Jmp_store.create ~tau_f:1 ~tau_u:1 () in
+  let h = Jmp_store.hooks st in
+  let ctxs = Ctx.create_store () in
+  let c1 = Ctx.of_list ctxs [ 4; 2 ] in
+  let keys =
+    List.concat_map
+      (fun d -> List.concat_map (fun v -> [ (d, v, Ctx.empty); (d, v, c1) ])
+                  (List.init 48 Fun.id))
+      [ Hooks.Bwd; Hooks.Fwd ]
+  in
+  let rounds = 50 in
+  let torn = Atomic.make 0 and changed = Atomic.make 0 in
+  let worker w () =
+    let seen = Hashtbl.create 256 and lookups = ref 0 in
+    let observe k v =
+      match Hashtbl.find_opt seen k with
+      | Some v' when v' <> v -> Atomic.incr changed
+      | _ -> Hashtbl.replace seen k v
+    in
+    for r = 0 to rounds - 1 do
+      List.iter
+        (fun (d, v, c) ->
+          let tag = (w * 1000) + r in
+          h.Hooks.record_finished d v c ~cost:(tag + 1)
+            ~targets:[| (tag, c) |];
+          h.Hooks.record_unfinished d v c ~s:(tag + 1);
+          let l = h.Hooks.lookup d v c ~steps:0 ~worker:w in
+          incr lookups;
+          (match l.Hooks.finished with
+          | Some { Hooks.cost; targets } ->
+              if Array.length targets <> 1 || fst targets.(0) + 1 <> cost then
+                Atomic.incr torn;
+              observe (d, v, c, `Fin) cost
+          | None -> Atomic.incr torn);
+          match l.Hooks.unfinished with
+          | Some s -> observe (d, v, c, `Unf) s
+          | None -> Atomic.incr torn)
+        keys
+    done;
+    (seen, !lookups)
+  in
+  let d0 = Domain.spawn (worker 0) and d1 = Domain.spawn (worker 1) in
+  let results = [ Domain.join d0; Domain.join d1 ] in
+  Alcotest.(check int) "whole records only" 0 (Atomic.get torn);
+  Alcotest.(check int) "a seen kind never changes" 0 (Atomic.get changed);
+  let n_keys = List.length keys in
+  Alcotest.(check int) "one finished per key" n_keys (Jmp_store.n_finished st);
+  Alcotest.(check int) "one unfinished per key" n_keys
+    (Jmp_store.n_unfinished st);
+  let issued = List.fold_left (fun acc (_, n) -> acc + n) 0 results in
+  let misses = Jmp_store.n_misses st in
+  let final = Hashtbl.create 256 in
+  List.iter
+    (fun (d, v, c) ->
+      let l = h.Hooks.lookup d v c ~steps:0 ~worker:0 in
+      (match l.Hooks.finished with
+      | Some { Hooks.cost; _ } -> Hashtbl.replace final (d, v, c, `Fin) cost
+      | None -> ());
+      match l.Hooks.unfinished with
+      | Some s -> Hashtbl.replace final (d, v, c, `Unf) s
+      | None -> ())
+    keys;
+  Alcotest.(check int) "hits + misses = lookups" (issued + n_keys)
+    (Jmp_store.n_hits st + Jmp_store.n_misses st);
+  Alcotest.(check int) "no misses after a write" 0 misses;
+  (* Every domain's observation of a kind equals the surviving value. *)
+  List.iter
+    (fun (seen, _) ->
+      Hashtbl.iter
+        (fun k v ->
+          if Hashtbl.find_opt final k <> Some v then
+            Alcotest.fail "a record kind was overwritten after being seen")
+        seen)
+    results;
+  let sorted_lines text =
+    List.sort compare (String.split_on_char '\n' text)
+  in
+  let text = Jmp_store.export_finished st ~generation:1 ~ctx_store:ctxs in
+  let dst = Jmp_store.create ~tau_f:1 ~tau_u:1 () in
+  (match Jmp_store.import_finished dst ~generation:1 ~ctx_store:ctxs text with
+  | Ok n -> Alcotest.(check int) "all finished records imported" n_keys n
+  | Error e -> Alcotest.failf "import failed: %s" e);
+  Alcotest.(check (list string)) "round trip unchanged" (sorted_lines text)
+    (sorted_lines (Jmp_store.export_finished dst ~generation:1 ~ctx_store:ctxs))
 
 (* ---------------------- snapshot export / import ------------------- *)
 
@@ -300,7 +393,7 @@ let test_snapshot_round_trip () =
   let d0 = Ctx.empty in
   let d1 = Ctx.of_list dst_ctxs [ 3; 7 ] in
   let d2 = Ctx.of_list dst_ctxs [ 9 ] in
-  (match (dh.Hooks.lookup Hooks.Bwd 5 d0 ~steps:0).Hooks.finished with
+  (match (dh.Hooks.lookup Hooks.Bwd 5 d0 ~steps:0 ~worker:0).Hooks.finished with
   | Some { Hooks.cost = 10; targets } ->
       Alcotest.(check int) "two targets" 2 (Array.length targets);
       let tv, tc = targets.(0) in
@@ -308,10 +401,10 @@ let test_snapshot_round_trip () =
       Alcotest.(check (list int)) "target ctx re-interned" [ 3; 7 ]
         (Ctx.to_list dst_ctxs tc)
   | _ -> Alcotest.fail "Bwd record lost");
-  (match (dh.Hooks.lookup Hooks.Fwd 6 d1 ~steps:0).Hooks.finished with
+  (match (dh.Hooks.lookup Hooks.Fwd 6 d1 ~steps:0 ~worker:0).Hooks.finished with
   | Some { Hooks.cost = 42; _ } -> ()
   | _ -> Alcotest.fail "Fwd record lost");
-  (match (dh.Hooks.lookup Hooks.Bwd 7 d2 ~steps:0).Hooks.finished with
+  (match (dh.Hooks.lookup Hooks.Bwd 7 d2 ~steps:0 ~worker:0).Hooks.finished with
   | Some { Hooks.cost = 99; targets } ->
       Alcotest.(check int) "empty targets" 0 (Array.length targets)
   | _ -> Alcotest.fail "empty-target record lost");
@@ -358,6 +451,8 @@ let suite =
       Alcotest.test_case "sharing precision" `Quick test_sharing_precision;
       Alcotest.test_case "store multicore stress" `Quick
         test_store_multicore_stress;
+      Alcotest.test_case "store two-domain race" `Quick
+        test_store_two_domain_race;
       Alcotest.test_case "snapshot round trip" `Quick test_snapshot_round_trip;
       Alcotest.test_case "snapshot wrong generation rejected" `Quick
         test_snapshot_wrong_generation_rejected;

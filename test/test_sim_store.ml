@@ -10,7 +10,7 @@ let test_same_thread_visibility () =
     ~targets:[||];
   (* Own buffered records are visible immediately. *)
   Alcotest.(check bool) "own record visible" true
-    ((q1.Sim_store.hooks.Hooks.lookup Hooks.Bwd 5 Ctx.empty ~steps:0)
+    ((q1.Sim_store.hooks.Hooks.lookup Hooks.Bwd 5 Ctx.empty ~steps:0 ~worker:0)
        .Hooks.finished
     <> None);
   q1.Sim_store.publish ~avail:100;
@@ -25,18 +25,18 @@ let test_cross_thread_timing () =
   (* A query starting before the publish time must not see it... *)
   let q2 = Sim_store.begin_query st ~start:50 in
   Alcotest.(check bool) "invisible before avail" true
-    ((q2.Sim_store.hooks.Hooks.lookup Hooks.Bwd 5 Ctx.empty ~steps:0)
+    ((q2.Sim_store.hooks.Hooks.lookup Hooks.Bwd 5 Ctx.empty ~steps:0 ~worker:0)
        .Hooks.finished
     = None);
   (* ...until its own progress carries it past the publish time. *)
   Alcotest.(check bool) "visible at start+steps >= avail" true
-    ((q2.Sim_store.hooks.Hooks.lookup Hooks.Bwd 5 Ctx.empty ~steps:60)
+    ((q2.Sim_store.hooks.Hooks.lookup Hooks.Bwd 5 Ctx.empty ~steps:60 ~worker:0)
        .Hooks.finished
     <> None);
   (* A later query sees it from the start. *)
   let q3 = Sim_store.begin_query st ~start:150 in
   Alcotest.(check bool) "visible after avail" true
-    ((q3.Sim_store.hooks.Hooks.lookup Hooks.Bwd 5 Ctx.empty ~steps:0)
+    ((q3.Sim_store.hooks.Hooks.lookup Hooks.Bwd 5 Ctx.empty ~steps:0 ~worker:0)
        .Hooks.finished
     <> None)
 
@@ -60,7 +60,7 @@ let test_thresholds_and_first_wins () =
   Alcotest.(check int) "one record" 1 (Sim_store.n_finished st);
   let q2 = Sim_store.begin_query st ~start:1000 in
   (match
-     (q2.Sim_store.hooks.Hooks.lookup Hooks.Bwd 1 Ctx.empty ~steps:0)
+     (q2.Sim_store.hooks.Hooks.lookup Hooks.Bwd 1 Ctx.empty ~steps:0 ~worker:0)
        .Hooks.finished
    with
   | Some { Hooks.cost = 100; _ } -> ()
@@ -70,7 +70,7 @@ let test_sync_cost_metering () =
   let st = Sim_store.create ~tau_f:1 ~tau_u:1 () in
   let q = Sim_store.begin_query st ~start:0 in
   Alcotest.(check int) "zero initially" 0 (q.Sim_store.sync_cost ());
-  ignore (q.Sim_store.hooks.Hooks.lookup Hooks.Bwd 1 Ctx.empty ~steps:0);
+  ignore (q.Sim_store.hooks.Hooks.lookup Hooks.Bwd 1 Ctx.empty ~steps:0 ~worker:0);
   Alcotest.(check int) "lookup metered" Sim_store.lookup_cost
     (q.Sim_store.sync_cost ());
   q.Sim_store.hooks.Hooks.record_finished Hooks.Bwd 1 Ctx.empty ~cost:10
@@ -88,7 +88,7 @@ let test_direction_keys () =
   q.Sim_store.publish ~avail:0;
   let q2 = Sim_store.begin_query st ~start:10 in
   Alcotest.(check bool) "Fwd key distinct" true
-    ((q2.Sim_store.hooks.Hooks.lookup Hooks.Fwd 4 Ctx.empty ~steps:0)
+    ((q2.Sim_store.hooks.Hooks.lookup Hooks.Fwd 4 Ctx.empty ~steps:0 ~worker:0)
        .Hooks.finished
     = None)
 
