@@ -34,6 +34,8 @@ type measurements = {
   d1_real : P.Report.t Lazy.t;
   dq1_real : P.Report.t Lazy.t;
   d1_real_noopt : P.Report.t Lazy.t;
+  d1_store : P.Jmp_store.t;  (* the jmp store [d1_real] fills *)
+  d1_noopt_store : P.Jmp_store.t;  (* the one [d1_real_noopt] fills *)
   naive16_sim : P.Report.t Lazy.t;
   d16_sim : P.Report.t Lazy.t;
   dq_sim : int -> P.Report.t;
@@ -54,10 +56,13 @@ let make_measurements bench =
   let queries = bench.P.Suite.queries in
   let pag = bench.P.Suite.pag in
   let type_level = bench.P.Suite.type_level in
-  let run ?(tau_f = tau_f) ?(tau_u = tau_u) mode threads =
-    P.Runner.run ~tau_f ~tau_u ~type_level ~solver_config ~mode ~threads
-      ~queries pag
+  let run ?(tau_f = tau_f) ?(tau_u = tau_u) ?store mode threads =
+    P.Runner.run ~tau_f ~tau_u ?store ~ctx_store:(P.Ctx.create_store ())
+      ~type_level ~solver_config ~mode ~threads ~queries pag
   in
+  (* Fig. 7 reads the histogram of the Share runs' stores. *)
+  let d1_store = P.Jmp_store.create ~tau_f ~tau_u () in
+  let d1_noopt_store = P.Jmp_store.create ~tau_f:1 ~tau_u:1 () in
   let simulate ?(tau_f = tau_f) ?(tau_u = tau_u) mode threads =
     P.Runner.simulate ~tau_f ~tau_u ~type_level ~solver_config ~mode ~threads
       ~queries pag
@@ -65,9 +70,11 @@ let make_measurements bench =
   {
     bench;
     seq_real = lazy (run P.Mode.Seq 1);
-    d1_real = lazy (run P.Mode.Share 1);
+    d1_real = lazy (run ~store:d1_store P.Mode.Share 1);
     dq1_real = lazy (run P.Mode.Share_sched 1);
-    d1_real_noopt = lazy (run ~tau_f:1 ~tau_u:1 P.Mode.Share 1);
+    d1_real_noopt = lazy (run ~store:d1_noopt_store P.Mode.Share 1);
+    d1_store;
+    d1_noopt_store;
     naive16_sim = lazy (simulate P.Mode.Naive sim_threads);
     d16_sim = lazy (simulate P.Mode.Share sim_threads);
     dq_sim = memo_int_fn (fun t -> simulate P.Mode.Share_sched t);
@@ -242,20 +249,21 @@ let fig7 ms =
   Format.printf
     "@.== Fig. 7: histogram of jmp edges by steps saved (all benchmarks) ==@.@.";
   let buckets = 17 in
-  let agg sel =
+  let agg run store =
     let fin = Array.make buckets 0 and unf = Array.make buckets 0 in
     List.iter
       (fun m ->
-        match (sel m : P.Report.t).P.Report.r_jmp_histogram with
-        | Some (f, u) ->
-            Array.iteri (fun i v -> fin.(i) <- fin.(i) + v) f;
-            Array.iteri (fun i v -> unf.(i) <- unf.(i) + v) u
-        | None -> ())
+        ignore (Lazy.force (run m) : P.Report.t);
+        let f, u = P.Jmp_store.histogram (store m) ~buckets in
+        Array.iteri (fun i v -> fin.(i) <- fin.(i) + v) f;
+        Array.iteri (fun i v -> unf.(i) <- unf.(i) + v) u)
       ms;
     (fin, unf)
   in
-  let fin_opt, unf_opt = agg (fun m -> Lazy.force m.d1_real) in
-  let fin_all, unf_all = agg (fun m -> Lazy.force m.d1_real_noopt) in
+  let fin_opt, unf_opt = agg (fun m -> m.d1_real) (fun m -> m.d1_store) in
+  let fin_all, unf_all =
+    agg (fun m -> m.d1_real_noopt) (fun m -> m.d1_noopt_store)
+  in
   P.Histogram.render Format.std_formatter ~bucket_label:P.Histogram.log2_label
     ~series:
       [

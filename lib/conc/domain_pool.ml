@@ -101,12 +101,30 @@ let shutdown t =
     t.domains <- []
   end
 
+(* At most one idle pool per process. [with_pool] takes it when its size
+   fits (leaving the slot empty, so a nested or concurrent [with_pool]
+   creates its own pool rather than waiting) and puts its pool back
+   afterwards, shutting down whichever pool that displaces. *)
+let idle : t option Atomic.t = Atomic.make None
+
+let borrow ~threads =
+  match Atomic.get idle with
+  | Some t as cur when t.n = threads && Atomic.compare_and_set idle cur None
+    ->
+      t
+  | _ -> create ~threads
+
+(* [run] returns only after every worker finished, so a pool is idle here
+   even when its region raised; only an explicit [shutdown] retires it. *)
+let give_back t =
+  if not t.shut then
+    match Atomic.exchange idle (Some t) with
+    | Some displaced -> shutdown displaced
+    | None -> ()
+
+let release_idle () = Option.iter shutdown (Atomic.exchange idle None)
+let () = at_exit release_idle
+
 let with_pool ~threads f =
-  let t = create ~threads in
-  match f t with
-  | v ->
-      shutdown t;
-      v
-  | exception e ->
-      shutdown t;
-      raise e
+  let t = borrow ~threads in
+  Fun.protect ~finally:(fun () -> give_back t) (fun () -> f t)

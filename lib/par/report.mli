@@ -34,9 +34,6 @@ type t = {
   r_n_jumps_finished : int;
   r_n_jumps_unfinished : int;
   r_mean_group_size : float;  (** the paper's [S_g]; 0.0 when unscheduled *)
-  r_jmp_histogram : (int array * int array) option;
-      (** (Finished, Unfinished) jmp counts bucketed by log2 steps saved
-          (Fig. 7); [None] without sharing or under simulation *)
   r_latency_hist : int array;
       (** per-query latency counts in {!hist_buckets} log2 buckets;
           sums to the query count *)

@@ -22,13 +22,10 @@ let dummy_outcome =
 
 (* Work units in issue order, plus the slot offset of each unit's first
    query in the flat outcome array. *)
-let make_units ?order_within ?order_across ?plan mode pag queries type_level =
+let make_units ?order_within ?order_across mode pag queries type_level =
   if Mode.uses_scheduling mode then begin
     let sched =
-      match plan with
-      | Some plan -> Schedule.build_with ?order_within ?order_across plan queries
-      | None ->
-          Schedule.build ?order_within ?order_across ~pag ~type_level queries
+      Schedule.build ?order_within ?order_across ~pag ~type_level queries
     in
     (sched.Schedule.groups, sched.Schedule.mean_group_size)
   end
@@ -58,8 +55,6 @@ let query_stat_of (o : Query.outcome) start_us end_us minor =
     qs_minor_words = minor;
   }
 
-let fig7_buckets = 17
-
 (* A worker failure is surfaced by [Domain_pool.run] (real execution) or
    propagates out of the sequential loop (simulation), so a report is only
    ever built from a fully executed batch; a leftover dummy means a query
@@ -77,7 +72,7 @@ let ensure_complete outcomes =
     outcomes
 
 let finish_report ~mode ~threads ~wall ~sim_makespan ~stats ~jumps
-    ~mean_group_size ~histogram ~group_sizes ~busy ~last_progress ~starts
+    ~mean_group_size ~group_sizes ~busy ~last_progress ~starts
     ~ends ~minor outcomes =
   ensure_complete outcomes;
   let nf, nu = jumps in
@@ -100,7 +95,6 @@ let finish_report ~mode ~threads ~wall ~sim_makespan ~stats ~jumps
     r_n_jumps_finished = nf;
     r_n_jumps_unfinished = nu;
     r_mean_group_size = mean_group_size;
-    r_jmp_histogram = histogram;
     r_latency_hist = latency_hist;
     r_steps_hist = steps_hist;
     r_minor_words_hist = minor_words_hist;
@@ -115,14 +109,10 @@ let finish_report ~mode ~threads ~wall ~sim_makespan ~stats ~jumps
   }
 
 let run ?tau_f ?tau_u ?share_directions ?sched_order_within
-    ?sched_order_across ?sched_plan ?store ?ctx_store
+    ?sched_order_across ?store ?ctx_store
     ?(type_level = fun _ -> 1) ?(solver_config = Config.default) ?tracer
-    ?(batch = 1) ?pool ~mode ~threads ~queries pag =
+    ?(batch = 1) ~mode ~threads ~queries pag =
   let threads = match mode with Mode.Seq -> 1 | _ -> max 1 threads in
-  (match pool with
-  | Some p when Domain_pool.threads p <> threads ->
-      invalid_arg "Runner.run: pool size disagrees with threads"
-  | _ -> ());
   (* A caller-owned jmp store must come with the context store its records
      were interned in — jmp keys and targets carry context ids that only
      that store can resolve. *)
@@ -148,8 +138,7 @@ let run ?tau_f ?tau_u ?share_directions ?sched_order_within
   in
   let units, mean_group_size =
     make_units ?order_within:sched_order_within
-      ?order_across:sched_order_across ?plan:sched_plan mode pag queries
-      type_level
+      ?order_across:sched_order_across mode pag queries type_level
   in
   let offsets, total = offsets_of units in
   let outcomes = Array.make total dummy_outcome in
@@ -198,25 +187,18 @@ let run ?tau_f ?tau_u ?share_directions ?sched_order_within
   in
   let t0 = Unix.gettimeofday () in
   if threads = 1 then worker ~worker:0
-  else (
-    (* A caller-owned pool amortises domain spawn/join across batches — a
-       long-lived service pays it once, not per pump. *)
-    match pool with
-    | Some pool -> Domain_pool.run pool worker
-    | None ->
-        Domain_pool.with_pool ~threads (fun pool ->
-            Domain_pool.run pool worker));
+  else
+    (* [with_pool] borrows the process's idle pool of this size, so no
+       batch pays domain spawn/join. *)
+    Domain_pool.with_pool ~threads (fun pool -> Domain_pool.run pool worker);
   let wall = Unix.gettimeofday () -. t0 in
   let jumps =
     match store with
     | Some s -> (Jmp_store.n_finished s, Jmp_store.n_unfinished s)
     | None -> (0, 0)
   in
-  let histogram =
-    Option.map (fun s -> Jmp_store.histogram s ~buckets:fig7_buckets) store
-  in
   finish_report ~mode ~threads ~wall ~sim_makespan:None ~stats ~jumps
-    ~mean_group_size ~histogram ~group_sizes:(Array.map Array.length units)
+    ~mean_group_size ~group_sizes:(Array.map Array.length units)
     ~busy ~last_progress ~starts ~ends ~minor outcomes
 
 let simulate ?tau_f ?tau_u ?sched_order_within ?sched_order_across
@@ -304,7 +286,7 @@ let simulate ?tau_f ?tau_u ?sched_order_within ?sched_order_across
     | None -> (0, 0)
   in
   finish_report ~mode ~threads ~wall ~sim_makespan:(Some makespan) ~stats
-    ~jumps ~mean_group_size ~histogram:None
+    ~jumps ~mean_group_size
     ~group_sizes:(Array.map Array.length units)
     ~busy:(Array.map float_of_int clocks)
     ~last_progress:(Array.map float_of_int clocks)

@@ -21,14 +21,12 @@ val run :
   ?share_directions:[ `Both | `Bwd_only ] ->
   ?sched_order_within:bool ->
   ?sched_order_across:bool ->
-  ?sched_plan:Parcfl_sched.Schedule.plan ->
   ?store:Parcfl_sharing.Jmp_store.t ->
   ?ctx_store:Parcfl_pag.Ctx.store ->
   ?type_level:(int -> int) ->
   ?solver_config:Parcfl_cfl.Config.t ->
   ?tracer:Parcfl_obs.Tracer.t ->
   ?batch:int ->
-  ?pool:Parcfl_conc.Domain_pool.t ->
   mode:Mode.t ->
   threads:int ->
   queries:Parcfl_pag.Pag.var array ->
@@ -38,23 +36,26 @@ val run :
     per grab (default 1 — one atomic operation per unit, identical work
     distribution to popping singly; raise it to amortize queue contention
     when units are tiny).
-    [pool] is a caller-owned domain pool to run on instead of spawning a
-    fresh one per call — a long-lived service executing many micro-batches
-    pays domain spawn/join once instead of per batch. Its size must equal
-    [threads]. With [threads = 1] (and in [Seq] mode) it is ignored.
+    With [threads > 1] the run borrows the process's idle pool of that
+    size through {!Parcfl_conc.Domain_pool.with_pool} (creating one only
+    when none is idle), so a batch pays no domain spawn/join once a pool
+    exists; the pool stays idle in the process after the call. With
+    [threads = 1] (and in [Seq] mode) no pool is used.
     [type_level] is required for meaningful [Share_sched] scheduling; it
     defaults to a constant function (all groups equal DD). [solver_config]
     defaults to {!Parcfl_cfl.Config.default}. [Seq] mode forces one thread.
     [share_directions], [sched_order_within] and [sched_order_across] are
     ablation knobs (see {!Parcfl_sharing.Jmp_store.create} and
-    {!Parcfl_sched.Schedule.build}). [sched_plan] reuses a precomputed
-    {!Parcfl_sched.Schedule.prepare} plan so scheduling a small batch does
-    not re-walk the whole PAG (it must have been prepared against the same
-    [pag]/[type_level]). [store] is a caller-owned jmp store that outlives
-    this run — pass the same store to successive runs and later batches
-    replay shortcuts recorded by earlier ones (the serving layer's
-    cross-batch sharing); when absent, sharing modes create a private store
-    for the batch and [tau_f]/[tau_u]/[share_directions] configure it.
+    {!Parcfl_sched.Schedule.build}). Scheduling uses the per-program plan
+    memoised by {!Parcfl_sched.Schedule.plan_for} on ([pag], [type_level]):
+    the first scheduled run on a program computes it, every later run
+    with the same graph and the same [type_level] closure reuses it and
+    pays only for grouping its own queries. [store] is a caller-owned jmp
+    store that outlives this run — pass the same store to successive runs
+    and later batches replay shortcuts recorded by earlier ones (the
+    serving layer's cross-batch sharing); when absent, sharing modes create
+    a private store for the batch and [tau_f]/[tau_u]/[share_directions]
+    configure it.
     A caller-owned [store] MUST be paired with the caller-owned
     [ctx_store] its records were interned in: jmp keys and targets carry
     context ids that only that store resolves (a fresh per-run store would

@@ -1,4 +1,5 @@
-(** Strongly connected components of integer digraphs (Tarjan, iterative).
+(** Strongly connected components of integer digraphs (Tarjan, iterative,
+    over int-array stacks).
 
     Used for (1) collapsing recursion cycles of the call graph — the paper's
     prerequisite for bounded calling contexts (Section IV-A), (2) eliminating

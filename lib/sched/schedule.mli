@@ -34,17 +34,27 @@ type t = {
 
 type plan
 (** The PAG-wide precomputation behind {!build}: the direct-relation
-    components, every variable's connection distance, and each component's
-    dependence depth. Building a plan is O(nodes + edges); scheduling a
-    batch against an existing plan is then linear in the {e batch}, not in
-    the graph. A long-lived service scheduling many micro-batches over one
-    loaded PAG prepares once and calls {!build_with} per batch. A plan is
-    immutable and safe to share across domains. *)
+    components (a dense component id per variable), every variable's
+    connection distance, and the components' dependence-depth issue order.
+    Building a plan is O(nodes + edges); scheduling a batch against an
+    existing plan is then a radix sort of the batch, with no graph-sized
+    work or scratch. A plan is immutable and safe to share across domains. *)
 
 val prepare :
   pag:Parcfl_pag.Pag.t -> type_level:(int -> int) -> plan
-(** [type_level] maps a frontend type id to its containment level [L(t)];
-    it must return 0 for unknown/primitive ([-1]) types. *)
+(** The uncached computation. [type_level] maps a frontend type id to its
+    containment level [L(t)]; it must return 0 for unknown/primitive ([-1])
+    types. *)
+
+val plan_for :
+  pag:Parcfl_pag.Pag.t -> type_level:(int -> int) -> plan
+(** The plan for [(pag, type_level)], computed by {!prepare} at most once
+    per pair and then reused: the per-program half of scheduling is paid
+    once, every later batch pays only for its own queries. Both arguments
+    are compared physically. The memo keeps one slot per PAG, held weakly
+    (it never keeps a graph alive); a different [type_level] closure
+    replaces that slot rather than adding one. Domain-safe: two domains
+    racing on the same pair may both compute it, with identical results. *)
 
 val component_roots : plan -> int array
 (** Every variable's direct-relation component root (a representative
@@ -71,7 +81,7 @@ val build :
   type_level:(int -> int) ->
   Parcfl_pag.Pag.var array ->
   t
-(** [prepare] + [build_with] in one call — the one-shot batch entry point. *)
+(** [build_with] over {!plan_for}: the batch entry point. *)
 
 val connection_distances : pag:Parcfl_pag.Pag.t -> int array
 (** CD per variable (exposed for tests and ablation benches). *)

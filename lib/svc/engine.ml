@@ -6,7 +6,6 @@ module Report = Parcfl_par.Report
 module Schedule = Parcfl_sched.Schedule
 module Jmp_store = Parcfl_sharing.Jmp_store
 module Ctx = Parcfl_pag.Ctx
-module Domain_pool = Parcfl_conc.Domain_pool
 module Oracle = Parcfl_oracle.Oracle
 
 type t = {
@@ -18,7 +17,6 @@ type t = {
   tracer : Parcfl_obs.Tracer.t option;
   mutable pag : Pag.t;
   mutable type_level : int -> int;
-  mutable plan : Schedule.plan;
   mutable store : Jmp_store.t option;
   mutable ctx_store : Ctx.store;
       (* jmp records carry context ids; the store that interned them must
@@ -29,10 +27,14 @@ type t = {
   mutable oracle : Oracle.t option;
       (* the O(1) CI answer tier; dies with the PAG generation exactly
          like the jmp preseed — [load] discards it *)
-  mutable pool : Domain_pool.t option;
-      (* worker domains persist across batches — spawned on the first
-         multi-threaded execute, joined by [shutdown] *)
 }
+
+(* Fill {!Schedule.plan_for}'s memo now, so the first batch on a graph
+   does not pay for the per-program plan; every batch then finds it under
+   the same ([pag], [type_level]) pair the engine passes to the runner. *)
+let warm_plan t =
+  if Mode.uses_scheduling t.mode then
+    ignore (Schedule.plan_for ~pag:t.pag ~type_level:t.type_level)
 
 let fresh_store t =
   if Mode.uses_sharing t.mode then
@@ -51,37 +53,17 @@ let create ?(mode = Mode.Share_sched) ?(threads = 4) ?tau_f ?tau_u
       tracer;
       pag;
       type_level;
-      plan = Schedule.prepare ~pag ~type_level;
       store = None;
       ctx_store = Ctx.create_store ();
       generation = 0;
       rate = None;
       preseeded = 0;
       oracle = None;
-      pool = None;
     }
   in
   t.store <- fresh_store t;
+  warm_plan t;
   t
-
-(* [Seq] forces one thread inside the runner, so a pool would sit unused
-   there; everywhere else the pool is sized exactly to [t.threads] as
-   {!Runner.run} requires. *)
-let worker_pool t =
-  if t.threads <= 1 || t.mode = Mode.Seq then None
-  else begin
-    (match t.pool with
-    | Some _ -> ()
-    | None -> t.pool <- Some (Domain_pool.create ~threads:t.threads));
-    t.pool
-  end
-
-let shutdown t =
-  match t.pool with
-  | Some pool ->
-      t.pool <- None;
-      Domain_pool.shutdown pool
-  | None -> ()
 
 let pag t = t.pag
 let generation t = t.generation
@@ -107,7 +89,7 @@ let load t ?type_level pag =
   let type_level = Option.value type_level ~default:t.type_level in
   t.pag <- pag;
   t.type_level <- type_level;
-  t.plan <- Schedule.prepare ~pag ~type_level;
+  warm_plan t;
   t.store <- fresh_store t;
   t.ctx_store <- Ctx.create_store ();
   t.preseeded <- 0;
@@ -126,7 +108,10 @@ let warm_start t ~preseed ~oracle =
   if not (preseed || want_oracle) then 0
   else begin
     let t0 = Unix.gettimeofday () in
-    let kernel = Parcfl_matrix.Kernel.solve ~threads:t.threads t.pag in
+    (* A [Seq] engine runs on one domain throughout, so its warm start
+       leaves no borrowed pool parked for the server's lifetime. *)
+    let threads = if t.mode = Mode.Seq then 1 else t.threads in
+    let kernel = Parcfl_matrix.Kernel.solve ~threads t.pag in
     if want_oracle then
       t.oracle <-
         Some
@@ -235,10 +220,9 @@ let execute t ~budget queries =
     Config.with_budget (max 1 (min budget (max_budget t))) t.solver_config
   in
   let report =
-    Runner.run ?tau_f:t.tau_f ?tau_u:t.tau_u ~sched_plan:t.plan
-      ?store:t.store ~ctx_store:t.ctx_store ~type_level:t.type_level
-      ~solver_config ?tracer:t.tracer ?pool:(worker_pool t) ~mode:t.mode
-      ~threads:t.threads ~queries t.pag
+    Runner.run ?tau_f:t.tau_f ?tau_u:t.tau_u ?store:t.store
+      ~ctx_store:t.ctx_store ~type_level:t.type_level ~solver_config
+      ?tracer:t.tracer ~mode:t.mode ~threads:t.threads ~queries t.pag
   in
   observe_rate t report;
   report

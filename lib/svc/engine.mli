@@ -2,10 +2,17 @@
 
     An engine owns, for its whole lifetime: the loaded PAG, the shared jmp
     store (so shortcuts recorded by one batch are replayed by every later
-    batch — the paper's data sharing lifted across batches), the
-    precomputed scheduling plan (direct groups + CD/DD, built once per
-    loaded graph instead of once per batch) and the monotone {b generation}
-    counter that versions all of it for the result cache.
+    batch — the paper's data sharing lifted across batches) and the
+    monotone {b generation} counter that versions all of it for the result
+    cache. Neither the scheduling plan nor the worker domains are fields.
+    {!create} and {!load} fill {!Parcfl_sched.Schedule.plan_for}'s
+    per-program memo for the loaded graph, so the first batch does not pay
+    for the plan and every batch reuses it through
+    {!Parcfl_par.Runner.run}; the memo holds graphs weakly, so a replaced
+    graph is not kept alive by it. Batches and the warm start borrow the
+    process's idle pool of [threads] workers through
+    {!Parcfl_conc.Domain_pool.with_pool}, so domains are spawned once per
+    process, not per batch or per engine.
 
     {!execute} runs one micro-batch through {!Parcfl_par.Runner.run} on the
     configured mode/threads and returns the full report (per-query
@@ -57,8 +64,9 @@ val explain :
 
 val load : t -> ?type_level:(int -> int) -> Parcfl_pag.Pag.t -> unit
 (** Replace the loaded graph: bumps the generation, clears the jmp store
-    and rebuilds the scheduling plan. [type_level] defaults to the previous
-    one (pass it whenever the new graph has its own type hierarchy). *)
+    and computes the new graph's scheduling plan into the memo.
+    [type_level] defaults to the previous one (pass it whenever the new
+    graph has its own type hierarchy). *)
 
 val warm_start : t -> preseed:bool -> oracle:bool -> int
 (** One whole-program bitset-kernel run ({!Parcfl_matrix.Kernel}) feeding
@@ -75,7 +83,7 @@ val warm_start : t -> preseed:bool -> oracle:bool -> int
 val preseed : t -> int
 (** Warm start (ROADMAP item 3): [warm_start ~preseed:true ~oracle:false].
     Solves the whole-program bitset kernel over the loaded PAG on the
-    engine's thread count and installs its facts as Finished jmp edges —
+    engine's thread count (one domain in [Seq] mode) and installs its facts as Finished jmp edges —
     the full context-insensitive heap-step sets when the engine is
     context-insensitive, only the empty ones when it is context-sensitive.
     Returns the records accepted (0 when the mode has no jmp store). Call
@@ -112,17 +120,8 @@ val deadline_budget : t -> seconds_left:float -> int
     estimate yet, [max_budget] (optimistic: the first batch calibrates). *)
 
 val execute : t -> budget:int -> Parcfl_pag.Pag.var array -> Parcfl_par.Report.t
-(** Solve one deduplicated batch with per-query budget [budget]. The
-    engine's worker domains are spawned on the first multi-threaded call
-    and reused for every batch after it — domain spawn/join is paid once
-    per engine, not once per batch. *)
-
-val shutdown : t -> unit
-(** Join the engine's persistent worker domains, if any were spawned.
-    Idempotent, and not final: a later {!execute} simply spawns a fresh
-    pool. Long-running processes that create many engines (benchmark
-    harnesses, tests) must call this to stay under the runtime's domain
-    limit. *)
+(** Solve one deduplicated batch with per-query budget [budget], on a
+    pool borrowed through {!Parcfl_par.Runner.run}. *)
 
 val export_snapshot : t -> (string * int, string) result
 (** [(text, records)]: the engine's Finished-only jmp store as a

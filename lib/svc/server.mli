@@ -2,7 +2,7 @@
 
     One single-threaded event loop multiplexes every connected client with
     [select]; the parallelism lives inside the service's batch execution
-    (the engine's domain pool). The loop's poll timeout is the service's
+    (worker domains each batch borrows). The loop's poll timeout is the service's
     {!Service.wait_hint}, so a pending micro-batch fires when its window
     expires even while the line is quiet, and input never waits on a
     running batch longer than the batch itself.

@@ -812,7 +812,7 @@ let import_oracle t text =
       n)
     (Engine.import_oracle t.engine text)
 
-let shutdown t = Engine.shutdown t.engine
+let shutdown (_ : t) = Parcfl_conc.Domain_pool.release_idle ()
 
 (* The O(1) answer tier: a budget-free, deadline-free query against a live
    oracle is answered from the shared rows without touching the cache, the

@@ -17,7 +17,7 @@
     + {!pump} forms a micro-batch when the {!Batcher} says one is due
       (or when forced during drain): expired-deadline requests are answered
       [Timeout] without solving, duplicate in-batch queries are coalesced
-      into one solve, and the batch runs on the engine's domain pool with
+      into one solve, and the batch runs on a borrowed worker pool with
       the scheduler's direct-grouping + CD/DD order.
     + Completed solves are answered, cached for later identical requests,
       and checked against each request's own budget and deadline — a query
@@ -39,7 +39,7 @@
     submission, always from within {!submit}/{!pump}/{!drain}. *)
 
 type config = {
-  threads : int;  (** engine domain pool size *)
+  threads : int;  (** worker domains per batch *)
   mode : Parcfl_par.Mode.t;
   max_batch : int;
   max_wait : float;  (** micro-batch window, seconds *)
@@ -181,6 +181,9 @@ val import_oracle : t -> string -> (int, string) result
     generation/CS rejection rules as {!Engine.import_oracle}. *)
 
 val shutdown : t -> unit
-(** Join the engine's persistent worker domains (see {!Engine.shutdown}).
-    Call after the final {!drain} when discarding a service; idempotent,
-    and a later pump would transparently respawn the pool. *)
+(** Join the process's idle worker domains
+    ({!Parcfl_conc.Domain_pool.release_idle}), which the engine's batches
+    borrowed, so sequential work after the service does not share every
+    minor collection with parked domains. Call after the final {!drain}
+    when discarding a service; idempotent, and a later pump on any service
+    transparently spawns a fresh pool. *)

@@ -222,6 +222,74 @@ let test_pool_single_thread () =
       Domain_pool.run pool (fun ~worker -> r := worker);
       Alcotest.(check int) "runs inline" 0 !r)
 
+(* Borrowing: [with_pool] reuses the idle pool instead of spawning. *)
+let worker1_domain ~threads =
+  let id = ref None in
+  Domain_pool.with_pool ~threads (fun pool ->
+      Domain_pool.run pool (fun ~worker ->
+          if worker = 1 then id := Some (Domain.self ())));
+  Option.get !id
+
+let test_pool_borrowed () =
+  let a = worker1_domain ~threads:2 in
+  let b = worker1_domain ~threads:2 in
+  Alcotest.(check bool) "worker 1 on the same domain" true (a = b);
+  Domain_pool.release_idle ();
+  Alcotest.(check bool) "released pool not reused" false
+    (worker1_domain ~threads:2 = a)
+
+let test_pool_nested () =
+  let inner = Atomic.make 0 in
+  Domain_pool.with_pool ~threads:2 (fun pool ->
+      Domain_pool.run pool (fun ~worker ->
+          if worker = 0 then
+            Domain_pool.with_pool ~threads:2 (fun nested ->
+                Domain_pool.run nested (fun ~worker:_ ->
+                    ignore (Atomic.fetch_and_add inner 1)))));
+  Alcotest.(check int) "nested region ran on its own pool" 2
+    (Atomic.get inner);
+  (* Concurrent borrowers from several domains neither wait nor share. *)
+  let total = Atomic.make 0 in
+  let ds =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to 20 do
+              Domain_pool.with_pool ~threads:2 (fun pool ->
+                  Domain_pool.run pool (fun ~worker:_ ->
+                      ignore (Atomic.fetch_and_add total 1)))
+            done))
+  in
+  List.iter Domain.join ds;
+  Alcotest.(check int) "concurrent regions all ran" 80 (Atomic.get total)
+
+let test_pool_reusable_after_failure () =
+  let before = worker1_domain ~threads:2 in
+  (try
+     Domain_pool.with_pool ~threads:2 (fun pool ->
+         Domain_pool.run pool (fun ~worker ->
+             if worker = 1 then failwith "boom"))
+   with Failure _ -> ());
+  let count = Atomic.make 0 in
+  Domain_pool.with_pool ~threads:2 (fun pool ->
+      Domain_pool.run pool (fun ~worker:_ ->
+          ignore (Atomic.fetch_and_add count 1)));
+  Alcotest.(check int) "region after a failure runs every worker" 2
+    (Atomic.get count);
+  Alcotest.(check bool) "failed region's pool kept" true
+    (worker1_domain ~threads:2 = before)
+
+let test_pool_shutdown_not_reused () =
+  let shut = ref None in
+  Domain_pool.with_pool ~threads:2 (fun pool ->
+      Domain_pool.shutdown pool;
+      shut := Some pool);
+  Domain_pool.with_pool ~threads:2 (fun pool ->
+      Alcotest.(check bool) "a fresh pool" false (Some pool == !shut);
+      let count = Atomic.make 0 in
+      Domain_pool.run pool (fun ~worker:_ ->
+          ignore (Atomic.fetch_and_add count 1));
+      Alcotest.(check int) "it runs" 2 (Atomic.get count))
+
 let suite =
   ( "conc",
     [
@@ -240,4 +308,10 @@ let suite =
       Alcotest.test_case "pool runs all workers" `Quick test_pool_runs_all;
       Alcotest.test_case "pool exception" `Quick test_pool_exception;
       Alcotest.test_case "pool single thread" `Quick test_pool_single_thread;
+      Alcotest.test_case "pool borrowed across calls" `Quick test_pool_borrowed;
+      Alcotest.test_case "pool nested and concurrent" `Quick test_pool_nested;
+      Alcotest.test_case "pool reusable after failure" `Quick
+        test_pool_reusable_after_failure;
+      Alcotest.test_case "shut-down pool not reused" `Quick
+        test_pool_shutdown_not_reused;
     ] )

@@ -261,6 +261,56 @@ let test_dq_golden_counters () =
         ])
     [ ("_200_check", [ 154; 1170; 1; 0; 0 ]); ("h2", [ 889; 180539; 481; 346; 797 ]) ]
 
+(* Two domains running DQ batches at once share the plan memo and the idle
+   domain pool: at 1 thread each run's outcomes (answers and counters)
+   equal a sequential run's exactly; at 2 threads every query completed in
+   both runs has the same answer. *)
+let test_concurrent_runners () =
+  let names = [ "_200_check"; "h2" ] in
+  let benches =
+    List.map (fun n -> Option.get (Parcfl.Suite.build_by_name n)) names
+  in
+  let dq threads (b : Parcfl.Suite.t) =
+    Runner.run ~tau_f:Parcfl.Profile.default_tau_f
+      ~tau_u:Parcfl.Profile.default_tau_u ~type_level:b.Parcfl.Suite.type_level
+      ~solver_config:
+        (Config.with_budget Parcfl.Profile.default_budget Config.default)
+      ~mode:Mode.Share_sched ~threads ~queries:b.Parcfl.Suite.queries
+      b.Parcfl.Suite.pag
+  in
+  let sequential = List.map (dq 1) benches in
+  let concurrently threads =
+    List.map Domain.join
+      (List.map (fun b -> Domain.spawn (fun () -> dq threads b)) benches)
+  in
+  List.iter2
+    (fun name (want, got) ->
+      Alcotest.(check bool) (name ^ " 1-thread outcomes") true
+        (want.Report.r_outcomes = got.Report.r_outcomes))
+    names
+    (List.combine sequential (concurrently 1));
+  List.iter2
+    (fun name (want, got) ->
+      let answers r =
+        Array.fold_left
+          (fun acc (o : Query.outcome) ->
+            if Query.completed o then
+              (o.Query.var, List.sort compare (Query.objects o.Query.result))
+              :: acc
+            else acc)
+          [] r.Report.r_outcomes
+      in
+      let want = answers want in
+      List.iter
+        (fun (v, objs) ->
+          match List.assoc_opt v want with
+          | Some w when w <> objs ->
+              Alcotest.failf "%s: var %d answered differently" name v
+          | _ -> ())
+        (answers got))
+    names
+    (List.combine sequential (concurrently 2))
+
 let suite =
   ( "par",
     [
@@ -286,4 +336,5 @@ let suite =
       Alcotest.test_case "explain charges its steps" `Quick
         test_explain_charges_steps;
       Alcotest.test_case "DQ golden counters" `Quick test_dq_golden_counters;
+      Alcotest.test_case "concurrent DQ runners" `Quick test_concurrent_runners;
     ] )

@@ -123,6 +123,114 @@ let prop_scc_reachability =
       done;
       !ok)
 
+(* The list-based Tarjan and Hashtbl-deduped condensation that the
+   int-array version replaced, kept verbatim as the numbering reference:
+   connection distances and type levels rely on the exact reverse
+   topological ids, so the rewrite must reproduce them, not merely some
+   valid SCC numbering. *)
+module Reference = struct
+  let compute ~n ~succs =
+    let index = Array.make n (-1) in
+    let lowlink = Array.make n 0 in
+    let on_stack = Array.make n false in
+    let stack = ref [] in
+    let comp_of = Array.make n (-1) in
+    let n_comps = ref 0 in
+    let counter = ref 0 in
+    let members_rev = ref [] in
+    let visit root =
+      if index.(root) < 0 then begin
+        let frames = ref [ (root, ref (succs root)) ] in
+        index.(root) <- !counter;
+        lowlink.(root) <- !counter;
+        incr counter;
+        stack := root :: !stack;
+        on_stack.(root) <- true;
+        while !frames <> [] do
+          match !frames with
+          | [] -> ()
+          | (v, rest) :: tail -> (
+              match !rest with
+              | w :: ws ->
+                  rest := ws;
+                  if index.(w) < 0 then begin
+                    index.(w) <- !counter;
+                    lowlink.(w) <- !counter;
+                    incr counter;
+                    stack := w :: !stack;
+                    on_stack.(w) <- true;
+                    frames := (w, ref (succs w)) :: !frames
+                  end
+                  else if on_stack.(w) then
+                    lowlink.(v) <- min lowlink.(v) index.(w)
+              | [] ->
+                  frames := tail;
+                  (match tail with
+                  | (parent, _) :: _ ->
+                      lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
+                  | [] -> ());
+                  if lowlink.(v) = index.(v) then begin
+                    let c = !n_comps in
+                    incr n_comps;
+                    let mem = ref [] in
+                    let continue = ref true in
+                    while !continue do
+                      match !stack with
+                      | [] -> continue := false
+                      | w :: rest_stack ->
+                          stack := rest_stack;
+                          on_stack.(w) <- false;
+                          comp_of.(w) <- c;
+                          mem := w :: !mem;
+                          if w = v then continue := false
+                    done;
+                    members_rev := !mem :: !members_rev
+                  end)
+        done
+      end
+    in
+    for v = 0 to n - 1 do
+      visit v
+    done;
+    let members = Array.of_list (List.rev !members_rev) in
+    { Scc.comp_of; n_comps = !n_comps; members }
+
+  let condensation (t : Scc.t) ~succs =
+    let dag = Array.make t.Scc.n_comps [] in
+    let seen = Hashtbl.create 64 in
+    Array.iteri
+      (fun c mem ->
+        List.iter
+          (fun v ->
+            List.iter
+              (fun w ->
+                let c' = t.Scc.comp_of.(w) in
+                if c' <> c && not (Hashtbl.mem seen (c, c')) then begin
+                  Hashtbl.add seen (c, c') ();
+                  dag.(c) <- c' :: dag.(c)
+                end)
+              (succs v))
+          mem)
+      t.Scc.members;
+    dag
+end
+
+let prop_same_as_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 60 >>= fun n ->
+      list_size (int_bound 180) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+      >>= fun edges -> return (n, edges))
+  in
+  QCheck.Test.make ~name:"numbering and condensation equal the reference"
+    ~count:300 (QCheck.make gen) (fun (n, edges) ->
+      let scc, succs = compute n edges in
+      let want = Reference.compute ~n ~succs in
+      scc.Scc.n_comps = want.Scc.n_comps
+      && scc.Scc.comp_of = want.Scc.comp_of
+      && scc.Scc.members = want.Scc.members
+      && Scc.condensation scc ~succs = Reference.condensation want ~succs)
+
 let suite =
   ( "scc",
     [
@@ -135,4 +243,5 @@ let suite =
       Alcotest.test_case "longest path (diamondish)" `Quick test_longest_path;
       Alcotest.test_case "longest path (branch)" `Quick test_longest_path_branch;
       QCheck_alcotest.to_alcotest prop_scc_reachability;
+      QCheck_alcotest.to_alcotest prop_same_as_reference;
     ] )

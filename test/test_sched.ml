@@ -151,6 +151,8 @@ let test_split_merge () =
   Alcotest.(check bool) "more units than components" true
     (Array.length sched.Schedule.groups >= 5)
 
+let bench_tiny = lazy (Parcfl.Suite.build Parcfl.Profile.tiny)
+
 let prop_flat_order_permutation =
   QCheck.Test.make ~name:"flat_order is a permutation of the queries" ~count:30
     QCheck.(int_bound 1000)
@@ -166,6 +168,160 @@ let prop_flat_order_permutation =
       List.sort compare flat
       = List.sort compare (Array.to_list bench.Parcfl.Suite.queries))
 
+(* ------------------------ per-program plan memo ------------------------ *)
+
+let profiles = lazy (List.map Parcfl.Suite.build Parcfl.Profile.all)
+
+(* The memoised plan is the from-scratch one: same component roots, dense
+   ids, CD and DD order (plans are immutable int arrays, so structural
+   equality compares all of them), and a second call returns the very same
+   plan. *)
+let test_memo_equals_prepare () =
+  List.iter
+    (fun (b : Parcfl.Suite.t) ->
+      let pag = b.Parcfl.Suite.pag and type_level = b.Parcfl.Suite.type_level in
+      let name = b.Parcfl.Suite.profile.Parcfl.Profile.name in
+      let memo = Schedule.plan_for ~pag ~type_level in
+      Alcotest.(check bool) (name ^ " equals prepare") true
+        (memo = Schedule.prepare ~pag ~type_level);
+      Alcotest.(check bool) (name ^ " reused") true
+        (Schedule.plan_for ~pag ~type_level == memo))
+    (Lazy.force profiles)
+
+let plan_weakly weak i ~pag ~type_level =
+  Weak.set weak i (Some (Schedule.plan_for ~pag ~type_level))
+[@@inline never]
+
+let test_memo_keys () =
+  let b = Lazy.force bench_tiny in
+  let pag = b.Parcfl.Suite.pag and level = b.Parcfl.Suite.type_level in
+  let first = Schedule.plan_for ~pag ~type_level:level in
+  (* A new PAG of the same program gets its own plan. *)
+  let other = Parcfl.Suite.build Parcfl.Profile.tiny in
+  let p_other =
+    Schedule.plan_for ~pag:other.Parcfl.Suite.pag ~type_level:level
+  in
+  Alcotest.(check bool) "new PAG, new plan" false (p_other == first);
+  (* A new type_level closure on the same PAG gets a new plan... *)
+  let fresh k = fun t -> level t + (k * 0) in
+  let p_fresh = Schedule.plan_for ~pag ~type_level:(fresh 1) in
+  Alcotest.(check bool) "new type_level, new plan" false (p_fresh == first);
+  Alcotest.(check bool) "same content" true (p_fresh = first);
+  (* ...that replaces the slot rather than adding one: while the PAG lives,
+     the memo keeps only the latest closure's plan. *)
+  let plans = Weak.create 10 in
+  for k = 0 to 9 do
+    plan_weakly plans k ~pag ~type_level:(fresh (k + 2))
+  done;
+  Gc.full_major ();
+  for k = 0 to 8 do
+    Alcotest.(check bool)
+      (Printf.sprintf "replaced plan %d collected" k)
+      false (Weak.check plans k)
+  done;
+  Alcotest.(check bool) "latest plan kept" true (Weak.check plans 9);
+  ignore (Sys.opaque_identity (pag, other))
+
+(* The memo holds graphs weakly: once nothing else references a PAG, its
+   plan does not keep it alive — including a graph an engine replaced. *)
+let plan_and_forget weak i =
+  let b = Parcfl.Suite.build Parcfl.Profile.tiny in
+  ignore
+    (Schedule.plan_for ~pag:b.Parcfl.Suite.pag
+       ~type_level:b.Parcfl.Suite.type_level);
+  Weak.set weak i (Some b.Parcfl.Suite.pag)
+[@@inline never]
+
+let engine_load_and_forget weak i =
+  let b = Parcfl.Suite.build Parcfl.Profile.tiny in
+  let engine =
+    Parcfl.Svc_engine.create ~threads:1 ~type_level:b.Parcfl.Suite.type_level
+      b.Parcfl.Suite.pag
+  in
+  Weak.set weak i (Some b.Parcfl.Suite.pag);
+  let next = Parcfl.Suite.build Parcfl.Profile.tiny in
+  Parcfl.Svc_engine.load engine ~type_level:next.Parcfl.Suite.type_level
+    next.Parcfl.Suite.pag;
+  engine
+[@@inline never]
+
+let test_memo_weak () =
+  let weak = Weak.create 2 in
+  plan_and_forget weak 0;
+  let engine = engine_load_and_forget weak 1 in
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped PAG collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "PAG replaced by load collected" false
+    (Weak.check weak 1);
+  ignore (Sys.opaque_identity engine)
+
+(* Golden groups: [Schedule.build] on every profile's query set (plus two
+   skewed samples with duplicates), under all four ordering knobs, digests
+   to what the Hashtbl/List.sort implementation produced before the plan
+   became arrays and batches were grouped by counting sort. *)
+let render_schedule (s : Schedule.t) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%d|%h|" s.Schedule.n_components s.Schedule.mean_group_size;
+  Array.iter
+    (fun g ->
+      Array.iter (fun v -> Printf.bprintf b "%d," v) g;
+      Buffer.add_char b ';')
+    s.Schedule.groups;
+  Buffer.contents b
+
+let golden_groups =
+  [
+    ("_200_check", "243359deb00c486d7830f42bea496f03");
+    ("_201_compress", "99278c72a957a65762abec55db170810");
+    ("_202_jess", "f879005e3ecdc2cf63889e42e6dd1894");
+    ("_205_raytrace", "03377f7704282833bce13478a0cef7ea");
+    ("_209_db", "becad4c6942a817642a8ea3ef5041042");
+    ("_213_javac", "cd1fc713780da491a72e100aad3efcc8");
+    ("_222_mpegaudio", "896d3da5a17564768a78f6f8b398347a");
+    ("_227_mtrt", "50ca2879a8d0f48d9c72aecab0b339c8");
+    ("_228_jack", "76c5e024e2b8365d395112f0264c0e16");
+    ("_999_checkit", "964a5dae22f87d4cbb59767ebaeeca67");
+    ("avrora", "eede9bee1ad72ae04a8af120da3accf4");
+    ("batik", "66da12ace119a9c3d642ead965d10fac");
+    ("fop", "3c9e2172f6cedf9f828f9d3d04cd255e");
+    ("h2", "0629f1f72ecfc76b2de9e871ff30336f");
+    ("luindex", "7b181c1666f467e5b317216d29ba0a62");
+    ("lusearch", "2dba36ea09eb1d500ab23129ab40b29c");
+    ("pmd", "1ef875572786c95db8a762e4fd9f53ba");
+    ("sunflow", "18e9d40fa23ba8eb8762b9ff67ba4111");
+    ("tomcat", "be48994a9f9557d6cb9ee8cf2a7f8f20");
+    ("xalan", "9b528226712585839d6d95bdf40e40a7");
+  ]
+
+let test_golden_groups () =
+  List.iter
+    (fun (b : Parcfl.Suite.t) ->
+      let pag = b.Parcfl.Suite.pag and type_level = b.Parcfl.Suite.type_level in
+      let name = b.Parcfl.Suite.profile.Parcfl.Profile.name in
+      let sets =
+        [
+          b.Parcfl.Suite.queries;
+          Parcfl.Suite.query_mix ~seed:7 b ~n:64;
+          Parcfl.Suite.query_mix ~seed:8 b ~n:5;
+        ]
+      in
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun qs ->
+          List.iter
+            (fun (w, a) ->
+              Buffer.add_string buf
+                (render_schedule
+                   (Schedule.build ~order_within:w ~order_across:a ~pag
+                      ~type_level qs)))
+            [ (true, true); (true, false); (false, true); (false, false) ])
+        sets;
+      Alcotest.(check string) (name ^ " groups digest")
+        (List.assoc name golden_groups)
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    (Lazy.force profiles)
+
 let suite =
   ( "sched",
     [
@@ -177,4 +333,10 @@ let suite =
         test_cd_ordering_within_group;
       Alcotest.test_case "split/merge balancing" `Quick test_split_merge;
       QCheck_alcotest.to_alcotest prop_flat_order_permutation;
+      Alcotest.test_case "memo plan = prepare (all profiles)" `Quick
+        test_memo_equals_prepare;
+      Alcotest.test_case "memo keys: PAG and type_level" `Quick test_memo_keys;
+      Alcotest.test_case "memo holds graphs weakly" `Quick test_memo_weak;
+      Alcotest.test_case "golden groups (all profiles)" `Quick
+        test_golden_groups;
     ] )
